@@ -3,28 +3,31 @@
 Run from the repository root:
 
     python3 bench/run.py --workload prescribe --seed 1 --seconds 20 --trace 0
-    python3 bench/smoke.py        # every workload at a tiny op count
+    python3 bench/smoke.py        # every workload, one cycle, both modes
 
 Workloads (why each exists is in workloads.py): prescribe, normal-forms,
 cli.  Each operation starts when the previous one returned, runs
 under a per-operation deadline, and its answer is checked, outside the
 timed region, against a value known independently of the timed path.
 
-``--seconds`` fixes the work: ``--trace 0`` runs round(seconds /
-cycle_seconds) whole cycles of the workload's operation classes, about
-``--seconds`` of operations at seed, and reports the end-to-end metrics.
-A fixed amount of work keeps the class mix, the tail percentile and the
-memory high-water mark the same from run to run on a host whose speed
-drifts.  A run stops starting operations once they have used
-MAX_STRETCH x ``--seconds`` and reports itself truncated.  ``--trace 1``
-alternates untraced and traced cycles, about ``--seconds`` in all, and
-reports per-layer metrics from the traced ones plus the throughput of both
-kinds, which is the tracing overhead.
+``--seconds`` fixes the work: ``--trace 0`` runs max(1, round(seconds /
+cycle_seconds)) whole cycles of the workload's operation classes, about
+``--seconds`` of operations at seed (``--seconds 0`` is one cycle), and
+reports the end-to-end metrics.  A fixed amount of work keeps the class
+mix, the tail percentile and the memory high-water mark the same from run
+to run on a host whose speed drifts.  A run whose operations use more than
+MAX_STRETCH x the planned cycles' expected time stops starting operations
+and exits 3 without a result line, since its class mix differs from a full
+run's.  ``--trace 1`` alternates untraced and traced cycles, about
+``--seconds`` in all (at least one pair), and reports per-layer metrics
+from the traced ones plus the throughput of both kinds, which is the
+tracing overhead.  Metric units come from BENCHMARK.json.
 
 The last line of stdout is ``{"correct", "attempted", "failed", "metrics"}``.
 The line before it is the full report: every metric with its unit (the
 error rate too), the tail percentile and its sample count, set-up samples,
-a host-noise loop timed at start and end, and provenance.  The report and,
+the outcome of the workload's off-loop probe if it has one, a host-noise
+loop timed at start and end, and provenance.  The report and,
 for traced runs, the spans are also written under bench/out/.
 """
 
@@ -53,21 +56,6 @@ TAIL_BEYOND = 10  # samples that must lie beyond the reported tail percentile
 PROBE_TIMEOUT_S = 120.0
 MAX_STRETCH = 2.0
 TRACED_PAIR_CYCLES = 2  # an untraced plus a traced cycle; tracing adds 0-25% at seed
-
-E2E_UNITS = {
-    "setup_s": "s",
-    "ops_per_s": "1/s",
-    "latency_p50_ms": "ms",
-    "latency_tail_ms": "ms",
-    "peak_rss_mb": "MB",
-}
-LAYER_UNIT_BY_SUFFIX = {
-    "calls": "count", "self_s": "s", "entries": "count", "max_bits": "bits", "factor_s": "s",
-    "hit_ratio": "ratio", "exponents_scanned": "count", "stabilization_yield": "ratio",
-    "resaturate_s": "s", "candidate_primes": "count", "jump_primes": "count",
-    "candidate_yield": "ratio", "scans": "count", "applies": "count", "window_retries": "ratio",
-    "import_s": "s", "ops_per_s": "1/s", "untraced_ops_per_s": "1/s",
-}
 
 
 class Deadline(Exception):
@@ -193,11 +181,11 @@ class Runner:
         return i, seconds, outcome
 
     def timed_loop(self):
-        args = self.args
-        planned = args.ops or self.w.cycle * max(1, round(args.seconds / self.w.cycle_seconds))
+        cycles = max(1, round(self.args.seconds / self.w.cycle_seconds))
+        planned, limit = cycles * self.w.cycle, MAX_STRETCH * cycles * self.w.cycle_seconds
         records, busy = [], 0.0
         for i in range(planned):
-            if busy > MAX_STRETCH * args.seconds and not args.ops:
+            if busy > limit:
                 break
             rec = self.execute(i)
             records.append(rec)
@@ -206,8 +194,8 @@ class Runner:
 
     def traced_loop(self, tr):
         """Alternate untraced and traced cycles of the same class mix."""
-        chunk = self.args.ops or self.w.cycle
-        pairs = 1 if self.args.ops else max(1, round(self.args.seconds / (TRACED_PAIR_CYCLES * self.w.cycle_seconds)))
+        chunk = self.w.cycle
+        pairs = max(1, round(self.args.seconds / (TRACED_PAIR_CYCLES * self.w.cycle_seconds)))
         plain, traced, imports = [], [], []
         spans_path = OUT / f"child_spans_{self.w.name}_{self.args.seed}.json"
         for c in range(2 * pairs):
@@ -234,8 +222,10 @@ def _rate(records) -> float:
     return sum(1 for *_, o in records if o == "ok") / busy if busy else 0.0
 
 
-def _metric(value, unit):
-    return {"value": value, "unit": unit}
+def _metrics(values: dict) -> dict:
+    units = {m["name"]: m["unit"] for kind in ("end_to_end", "per_layer")
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text())[kind]}
+    return {k: {"value": v, "unit": units[k]} for k, v in values.items()}
 
 
 def main(argv=None) -> int:
@@ -244,7 +234,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--ops", type=int, default=0, help="fixed operation count instead of --seconds (smoke runs)")
     args = ap.parse_args(argv)
 
     if not (SRC / "arithsurf" / "__init__.py").is_file():
@@ -286,7 +275,7 @@ def main(argv=None) -> int:
         values["cli.import_s"] = statistics.mean(imports) if imports else 0.0
         values["trace.ops_per_s"] = _rate(traced)
         values["trace.untraced_ops_per_s"] = _rate(plain)
-        metrics = {k: _metric(v, LAYER_UNIT_BY_SUFFIX[k.rsplit(".", 1)[1]]) for k, v in values.items()}
+        metrics = _metrics(values)
         spans_file = OUT / f"trace_{w.name}_s{args.seed}.json"
         spans_file.write_text(json.dumps(tr.spans.to_json()))
         report["trace_run"] = {
@@ -310,14 +299,14 @@ def main(argv=None) -> int:
             "latency_tail_ms": lat["tail_ms"],
             "peak_rss_mb": usage.ru_maxrss / 1024,
         }
-        metrics = {k: _metric(v, E2E_UNITS[k]) for k, v in values.items()}
-        report["error_rate"] = _metric((len(records) - completed) / len(records), "ratio")
+        metrics = _metrics(values)
+        report["error_rate"] = {"value": (len(records) - completed) / len(records), "unit": "ratio"}
         report["latency_tail"] = {k: lat[k] for k in ("tail_percentile", "tail_samples_beyond")}
         report["setup_s_samples"] = setup
         report["timed_s"] = busy
         report["truncated"] = len(records) < planned
-        if hasattr(w, "known_failure"):
-            report["known_failure_probe"] = w.known_failure(A, args.seed, run_with_deadline)
+        if hasattr(w, "off_loop_probe"):
+            report["off_loop_probe"] = w.off_loop_probe(A, args.seed, run_with_deadline)
 
     failures = [(i, o) for i, _, o in records if o != "ok"]
     report["metrics"] = metrics
@@ -328,6 +317,10 @@ def main(argv=None) -> int:
         report["provenance"]["tail_percentile"] = report["latency_tail"]["tail_percentile"]
     name = f"BENCH_{w.name}_s{args.seed}_trace{args.trace}.json"
     (OUT / name).write_text(json.dumps(report, indent=1))
+    if report.get("truncated"):
+        print(f"error: stopped after {len(records)} operations: over {MAX_STRETCH}x the planned time; "
+              f"report in {(OUT / name).relative_to(ROOT)}", file=sys.stderr)
+        return 3
     print(json.dumps(report))
     print(json.dumps({
         "correct": not failures,

@@ -142,7 +142,8 @@ class Prescribe:
     # (generic type n, heights, dense surjection per jump).  A dense
     # surjection is the only one or the last one: applied before another
     # jump it makes operations take from one second to minutes at seed,
-    # which no fixed-length run can average.  The classes at ranks 6-8 by
+    # which no fixed-length run can average; DENSE_FIRST runs that case
+    # once per run, outside the measured loop.  The classes at ranks 6-8 by
     # cost ((2,(1,1)), (1,(1,1,1)), (1,(1,2))) cost about the same, so the
     # median of the mix is a middle order statistic of twelve similar
     # operations instead of an edge of one class.
@@ -162,6 +163,11 @@ class Prescribe:
         (2, (1,), (False,)),
     )
     cycle = len(CLASSES)
+    # A dense surjection at a prime of 11-19 before a jump at 23-37: about
+    # 1-5 s at seed, so it may overrun its deadline.
+    DENSE_FIRST = (1, (2, 1), (True, False))
+    DENSE_FIRST_BAND = 1
+    DENSE_FIRST_DEADLINE_S = 5.0
 
     def setup_inputs(self, seed):
         return None
@@ -170,10 +176,14 @@ class Prescribe:
         return None
 
     def make_op(self, seed, i):
-        rng = _rng(self.name, seed, i)
         c = i % self.cycle
-        n, heights, dense = self.CLASSES[c]
-        primes = [rng.choice(PRIME_BANDS[(c + k) % len(PRIME_BANDS)]) for k in range(len(heights))]
+        return self._spec(_rng(self.name, seed, i), *self.CLASSES[c], band=c, record=i % 4 == 0)
+
+    @staticmethod
+    def _spec(rng, n, heights, dense, band, record):
+        """Jump k takes its prime from band + k; the first jump's pair
+        (or the default one) also gives the blow-up record when asked."""
+        primes = [rng.choice(PRIME_BANDS[(band + k) % len(PRIME_BANDS)]) for k in range(len(heights))]
         jumps = []
         for p, ni, d in zip(primes, heights, dense):
             jumps.append((p, ni, _random_surjection(rng, p, n, ni) if d else None))
@@ -181,7 +191,7 @@ class Prescribe:
         return {
             "n": n,
             "jumps": jumps,
-            "record": (p, ni, gh or _default_surjection(n, ni)) if i % 4 == 0 else None,
+            "record": (p, ni, gh or _default_surjection(n, ni)) if record else None,
             "profile": _prescribed_profile(n, [(p, ni) for p, ni, _ in jumps]),
         }
 
@@ -224,6 +234,17 @@ class Prescribe:
             return _subset_mismatch(_record_fields(spec["n"], p, ni), doc, "record.")
         return None
 
+    def off_loop_probe(self, A, seed, run_with_deadline):
+        """A dense surjection before another jump, outside the measured loop."""
+        rng = _rng(self.name, seed, "dense-first")
+        spec = self._spec(rng, *self.DENSE_FIRST, band=self.DENSE_FIRST_BAND, record=False)
+        outcome, seconds, _ = run_with_deadline(
+            lambda: self.run(A, None, spec), self.DENSE_FIRST_DEADLINE_S, lambda out: self.check(spec, out)
+        )
+        return {"case": "dense surjection before another jump",
+                "jumps": [[p, ni] for p, ni, _ in spec["jumps"]],
+                "deadline_s": self.DENSE_FIRST_DEADLINE_S, "outcome": outcome, "seconds": seconds}
+
 
 # ---------------------------------------------------------------------------
 # normal forms
@@ -257,7 +278,8 @@ class NormalForms:
     )
     cycle = len(CLASSES)
     # m*x0*x1 with m a 37-digit semiprime: candidate-prime detection falls
-    # through to unbudgeted factoring.  Run once per run as a probe.
+    # through to unbudgeted factoring.  Run once per run, outside the
+    # measured loop.
     KNOWN_FAILURE_DIGITS = 37
     KNOWN_FAILURE_DEADLINE_S = 2.0
 
@@ -310,7 +332,7 @@ class NormalForms:
                 return f"constancy {cons['status']}"
         return None
 
-    def known_failure(self, A, seed, run_with_deadline):
+    def off_loop_probe(self, A, seed, run_with_deadline):
         """The 37-digit case, outside the measured loop: outcome and seconds."""
         rng = _rng(self.name, seed, "known-failure")
         low = 10 ** (self.KNOWN_FAILURE_DIGITS // 2)
@@ -319,7 +341,7 @@ class NormalForms:
         outcome, seconds, _ = run_with_deadline(
             lambda: self.run(A, None, spec), self.KNOWN_FAILURE_DEADLINE_S, lambda out: self.check(spec, out)
         )
-        return {"digits": len(str(m)), "deadline_s": self.KNOWN_FAILURE_DEADLINE_S,
+        return {"case": "semiprime m*x0*x1", "digits": len(str(m)), "deadline_s": self.KNOWN_FAILURE_DEADLINE_S,
                 "outcome": outcome, "seconds": seconds}
 
 
