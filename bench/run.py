@@ -2,11 +2,11 @@
 
 Run from the repository root:
 
-    python3 bench/run.py --workload prescribe --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload prescribe --seed 1 --seconds 16 --trace 0
     python3 bench/smoke.py        # every workload, one cycle, both modes
 
 Workloads (why each exists is in workloads.py): prescribe, normal-forms,
-cli.  Each operation starts when the previous one returned, runs
+sections, cli.  Each operation starts when the previous one returned, runs
 under a per-operation deadline, and its answer is checked, outside the
 timed region, against a value known independently of the timed path.
 
@@ -22,6 +22,17 @@ run's.  ``--trace 1`` alternates untraced and traced cycles, about
 ``--seconds`` in all (at least one pair), and reports per-layer metrics
 from the traced ones plus the throughput of both kinds, which is the
 tracing overhead.  Metric units come from BENCHMARK.json.
+
+Every end-to-end time is reported at a reference host speed.  On a shared
+2-vCPU x86_64 host with CPython 3.11, CPU speed drifted by half or more
+over tens of seconds (the CAL_STEPS loop below read anywhere from 10 to
+22 ms), and the program's operations slowed down with it in step.  So the
+run pins itself and its children to one CPU, times a short fixed
+calibration loop between operations, at least every CAL_EVERY_S, and
+multiplies each raw time by REF_CAL_S / (median calibration time within
+CAL_WINDOW_S of it).  The calibration loop is the benchmark's own code, so
+a change to the program cannot move it.  The report keeps the raw values
+under ``raw_metrics`` and the calibration samples' quartiles.
 
 The last line of stdout is ``{"correct", "attempted", "failed", "metrics"}``.
 The line before it is the full report: every metric with its unit (the
@@ -56,6 +67,11 @@ TAIL_BEYOND = 10  # samples that must lie beyond the reported tail percentile
 PROBE_TIMEOUT_S = 120.0
 MAX_STRETCH = 2.0
 TRACED_PAIR_CYCLES = 2  # an untraced plus a traced cycle; tracing adds 0-25% at seed
+CAL_STEPS = 100_000
+REF_CAL_S = 0.015  # CAL_STEPS loop time at the reference speed (typical on the host above)
+CAL_EVERY_S = 0.25
+CAL_WINDOW_S = 2.0
+CAL_MIN_SAMPLES = 5
 
 
 class Deadline(Exception):
@@ -101,10 +117,42 @@ def cpu_loop(steps: int = NOISE_STEPS) -> float:
     return time.perf_counter() - start
 
 
-def measure_setup(name: str, seed: int, workdir: Path, env: dict) -> list[float]:
-    """setup_s samples: spawn to ready of a fresh probe, minus input generation."""
-    samples = []
+class HostClock:
+    """Calibration samples over a run, to rescale raw times to REF_CAL_S."""
+
+    def __init__(self):
+        self.samples: list[tuple[float, float]] = []  # (midpoint, seconds)
+        self.sample()
+
+    def sample(self) -> None:
+        start = time.perf_counter()
+        seconds = cpu_loop(CAL_STEPS)
+        self.samples.append((start + seconds / 2, seconds))
+
+    def maybe_sample(self) -> None:
+        if time.perf_counter() - self.samples[-1][0] >= CAL_EVERY_S:
+            self.sample()
+
+    def adjust(self, mid: float, seconds: float) -> float:
+        """``seconds`` measured around ``mid``, at the reference speed."""
+        near = [c for t, c in self.samples if abs(t - mid) <= CAL_WINDOW_S]
+        if len(near) < CAL_MIN_SAMPLES:
+            near = [c for _, c in sorted(self.samples, key=lambda tc: abs(tc[0] - mid))[:CAL_MIN_SAMPLES]]
+        return seconds * REF_CAL_S / statistics.median(near)
+
+    def summary(self) -> dict:
+        cal = [c for _, c in self.samples]
+        q = statistics.quantiles(cal, n=4) if len(cal) > 1 else [cal[0]] * 3
+        return {"steps": CAL_STEPS, "ref_s": REF_CAL_S, "samples": len(cal), "quartiles_s": q}
+
+
+def measure_setup(name: str, seed: int, workdir: Path, env: dict, clock: HostClock) -> tuple[list, list]:
+    """setup_s samples: spawn to ready of a fresh probe, minus input
+    generation; returned raw and at the reference speed."""
+    raw, adjusted = [], []
     for _ in range(SETUP_REPS):
+        for _ in range(CAL_MIN_SAMPLES):
+            clock.sample()
         start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, str(BENCH / "probe.py"), name, str(seed), str(workdir)],
@@ -124,8 +172,11 @@ def measure_setup(name: str, seed: int, workdir: Path, env: dict) -> list[float]
             proc.stdout.close()
         if proc.returncode != 0 or not line.startswith("READY "):
             raise RuntimeError(f"set-up probe exited {proc.returncode}")
-        samples.append(ready - start - float(line.split()[1]))
-    return samples
+        raw.append(ready - start - float(line.split()[1]))
+        for _ in range(CAL_MIN_SAMPLES):
+            clock.sample()
+        adjusted.append(clock.adjust((start + ready) / 2, raw[-1]))
+    return raw, adjusted
 
 
 def provenance(args, ops: int) -> dict:
@@ -144,7 +195,7 @@ def provenance(args, ops: int) -> dict:
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpus_pinned": sorted(os.sched_getaffinity(0)),
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
@@ -180,17 +231,24 @@ class Runner:
         outcome, seconds, _ = run_with_deadline(fn, w.deadline_s, lambda out: w.check(spec, out))
         return i, seconds, outcome
 
-    def timed_loop(self):
+    def timed_loop(self, clock: HostClock):
+        """Returns the records at the reference speed, the raw ones, the
+        raw busy time and the planned operation count."""
         cycles = max(1, round(self.args.seconds / self.w.cycle_seconds))
         planned, limit = cycles * self.w.cycle, MAX_STRETCH * cycles * self.w.cycle_seconds
-        records, busy = [], 0.0
+        raw, mids, busy = [], [], 0.0
         for i in range(planned):
             if busy > limit:
                 break
+            clock.maybe_sample()
+            start = time.perf_counter()
             rec = self.execute(i)
-            records.append(rec)
+            raw.append(rec)
+            mids.append(start + rec[1] / 2)
             busy += rec[1]
-        return records, busy, planned
+        clock.sample()
+        adjusted = [(i, clock.adjust(mid, s), o) for (i, s, o), mid in zip(raw, mids)]
+        return adjusted, raw, busy, planned
 
     def traced_loop(self, tr):
         """Alternate untraced and traced cycles of the same class mix."""
@@ -232,7 +290,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float, default=16.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
@@ -249,6 +307,10 @@ def main(argv=None) -> int:
     workdir = OUT / "work" / f"{w.name}-{args.seed}"
     OUT.mkdir(parents=True, exist_ok=True)
     signal.signal(signal.SIGALRM, _on_alarm)
+    # One CPU for the caller, its children and the calibration loop, so the
+    # loop reads the speed of the CPU the operations run on.
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
     noise_start = cpu_loop()
 
     inputs = w.setup_inputs(args.seed)
@@ -287,22 +349,30 @@ def main(argv=None) -> int:
             "absent_metrics": tracer.absent_metrics(tr.spans.names),
         }
     else:
-        records, busy, planned = runner.timed_loop()
+        clock = HostClock()
+        records, raw_records, busy, planned = runner.timed_loop(clock)
         usage = resource.getrusage(resource.RUSAGE_CHILDREN if runner.is_cli else resource.RUSAGE_SELF)
-        lat = latency_summary(records, w.deadline_s)
-        setup = measure_setup(w.name, args.seed, workdir, env)
+        raw_setup, setup = measure_setup(w.name, args.seed, workdir, env, clock)
         completed = sum(1 for *_, o in records if o == "ok")
-        values = {
-            "setup_s": statistics.median(setup),
-            "ops_per_s": completed / busy,
-            "latency_p50_ms": lat["p50_ms"],
-            "latency_tail_ms": lat["tail_ms"],
-            "peak_rss_mb": usage.ru_maxrss / 1024,
-        }
+
+        def e2e(recs, setup_samples):
+            lat = latency_summary(recs, w.deadline_s)
+            return lat, {
+                "setup_s": statistics.median(setup_samples),
+                "ops_per_s": completed / sum(s for _, s, _ in recs),
+                "latency_p50_ms": lat["p50_ms"],
+                "latency_tail_ms": lat["tail_ms"],
+                "peak_rss_mb": usage.ru_maxrss / 1024,
+            }
+
+        lat, values = e2e(records, setup)
         metrics = _metrics(values)
+        report["raw_metrics"] = _metrics(e2e(raw_records, raw_setup)[1])
+        report["host_calibration"] = clock.summary()
         report["error_rate"] = {"value": (len(records) - completed) / len(records), "unit": "ratio"}
         report["latency_tail"] = {k: lat[k] for k in ("tail_percentile", "tail_samples_beyond")}
         report["setup_s_samples"] = setup
+        report["raw_setup_s_samples"] = raw_setup
         report["timed_s"] = busy
         report["truncated"] = len(records) < planned
         if hasattr(w, "off_loop_probe"):

@@ -13,15 +13,14 @@ out by the caller when the run ends.
 
 Which end-to-end metric each per-layer metric should move:
   exactlat.*, cohomology.exponents_scanned and cohomology.self_s: latency on
-    prescribe and normal-forms;
+    prescribe and normal-forms, ops_per_s on sections;
   cohomology.resaturate_s, bundles.candidate_yield: latency_p50_ms on
     normal-forms;
   exactlat.factor_s: latency_tail_ms on normal-forms (and its deadline
     overruns);
   transforms.window_retries and transforms.self_s: latency_tail_ms on
     prescribe;
-  the cache hit ratios: ops_per_s and peak_rss_mb on prescribe and
-    normal-forms, whose operations share cached pieces;
+  the cache hit ratios: ops_per_s and peak_rss_mb on sections;
   cli.import_s: setup_s everywhere and latency_p50_ms on cli.
 """
 

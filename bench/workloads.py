@@ -29,7 +29,9 @@ from pathlib import Path
 import oracle
 
 # Operation cost grows with the prime, so each jump draws from a fixed band.
-PRIME_BANDS = ((2, 3, 5, 7), (11, 13, 17, 19), (23, 29, 31, 37), (41, 43, 47, 53))
+# Three primes a band, so that a 16-second prescribe run (three cycles) uses
+# each of them once per jump of each class.
+PRIME_BANDS = ((2, 3, 5), (11, 13, 17), (23, 29, 31), (41, 43, 47))
 OFF_PRIMES = tuple(p for p in oracle.PRIMES_TO_400 if p <= 97)
 
 
@@ -163,7 +165,7 @@ class Prescribe:
         (2, (1,), (False,)),
     )
     cycle = len(CLASSES)
-    # A dense surjection at a prime of 11-19 before a jump at 23-37: about
+    # A dense surjection at a prime of 11-17 before a jump at 23-31: about
     # 1-5 s at seed, so it may overrun its deadline.
     DENSE_FIRST = (1, (2, 1), (True, False))
     DENSE_FIRST_BAND = 1
@@ -176,14 +178,27 @@ class Prescribe:
         return None
 
     def make_op(self, seed, i):
-        c = i % self.cycle
-        return self._spec(_rng(self.name, seed, i), *self.CLASSES[c], band=c, record=i % 4 == 0)
+        """Jump k of class c takes its prime from band c + k.  Each band
+        steps by one prime per cycle from a seed-chosen start, so a run of
+        three cycles uses every prime of a band once for each jump that
+        draws from it.  All operations of a cycle that draw from one band
+        share its prime, so which operations find the first transformation
+        of another one cached, and hence the run's cost, does not depend on
+        the seed."""
+        c, n_cycle = i % self.cycle, i // self.cycle
+        n, heights, dense = self.CLASSES[c]
+        start = _rng(self.name, seed, "rotation")
+        starts = [start.randrange(len(band)) for band in PRIME_BANDS]
+        primes = []
+        for k in range(len(heights)):
+            b = (c + k) % len(PRIME_BANDS)
+            primes.append(PRIME_BANDS[b][(starts[b] + n_cycle) % len(PRIME_BANDS[b])])
+        return self._spec(_rng(self.name, seed, i), n, heights, dense, primes, record=i % 4 == 0)
 
     @staticmethod
-    def _spec(rng, n, heights, dense, band, record):
-        """Jump k takes its prime from band + k; the first jump's pair
-        (or the default one) also gives the blow-up record when asked."""
-        primes = [rng.choice(PRIME_BANDS[(band + k) % len(PRIME_BANDS)]) for k in range(len(heights))]
+    def _spec(rng, n, heights, dense, primes, record):
+        """The first jump's pair (or the default one) also gives the
+        blow-up record when asked."""
         jumps = []
         for p, ni, d in zip(primes, heights, dense):
             jumps.append((p, ni, _random_surjection(rng, p, n, ni) if d else None))
@@ -237,7 +252,9 @@ class Prescribe:
     def off_loop_probe(self, A, seed, run_with_deadline):
         """A dense surjection before another jump, outside the measured loop."""
         rng = _rng(self.name, seed, "dense-first")
-        spec = self._spec(rng, *self.DENSE_FIRST, band=self.DENSE_FIRST_BAND, record=False)
+        n, heights, dense = self.DENSE_FIRST
+        primes = [rng.choice(PRIME_BANDS[self.DENSE_FIRST_BAND + k]) for k in range(len(heights))]
+        spec = self._spec(rng, n, heights, dense, primes, record=False)
         outcome, seconds, _ = run_with_deadline(
             lambda: self.run(A, None, spec), self.DENSE_FIRST_DEADLINE_S, lambda out: self.check(spec, out)
         )
@@ -343,6 +360,115 @@ class NormalForms:
         )
         return {"case": "semiprime m*x0*x1", "digits": len(str(m)), "deadline_s": self.KNOWN_FAILURE_DEADLINE_S,
                 "outcome": outcome, "seconds": seconds}
+
+
+# ---------------------------------------------------------------------------
+# sections
+
+
+def _type_h0_h1(split, t: int) -> tuple[int, int]:
+    """h0 and h1 of O(a) + O(b) twisted by t."""
+    return sum(max(0, t + d + 1) for d in split), sum(max(0, -t - d - 1) for d in split)
+
+
+class Sections:
+    """h0_dim and h1 at every twist -8..8, over Z or over GF(p), of a
+    bundle from a pool built in set-up.  A third of the queries find
+    their answers cached: a ninth repeat an earlier query, and the others
+    ask for jump fibers and Z tables, which set-up mostly computed already.
+
+    Why: the pair engine and mod-p elimination with no construction, and
+    the section-space caches.  Profiles from a Smith form on the dual and
+    closed-form transformations should leave it unchanged; bounding the
+    caches should cost it.
+
+    Every answer has a closed form from the known type (a, b) at the query's
+    prime: h0 = sum max(0, t+d+1) and h1 = sum max(0, -t-d-1).  The pool's
+    shapes are fixed and the seed picks their primes and coefficients.
+    Queries take their (bundle, prime) from seed-shuffled lists of all of
+    them, in passes: an off query's first pass meets a fiber no query has
+    reduced yet, and a later pass finds it cached.  So the share of cache
+    misses is the same for every seed, and the median lies inside them.
+    cycle_seconds is set so that a run of up to 20 seconds plans at most
+    one pass over the 306 off fibers (six per cycle).
+    """
+
+    name = "sections"
+    deadline_s = 10.0
+    cycle_seconds = 0.4
+    TWISTS = tuple(range(-8, 9))
+    # off: a prime up to 400 that is not a jump of the bundle; jump: a jump
+    # prime; zz: over Z; repeat: an earlier off or jump query, a cache hit.
+    CYCLE = ("off", "off", "jump", "off", "repeat", "off", "off", "zz", "off")
+    cycle = len(CYCLE)
+    REPEATABLE = tuple(k for k, kind in enumerate(CYCLE) if kind in ("off", "jump"))
+    # (kind, generic type n or normal-form n, heights, first band)
+    POOL = (("prescribed", 1, (2,), 0), ("prescribed", 2, (1,), 1),
+            ("prescribed", 0, (1, 1), 0), ("normal", 2, None, None))
+
+    def setup_inputs(self, seed):
+        rng = _rng(self.name, seed, "pool")
+        pool = []
+        for kind, n, heights, band in self.POOL:
+            if kind == "prescribed":
+                primes = [rng.choice(PRIME_BANDS[band + k]) for k in range(len(heights))]
+                prof = _prescribed_profile(n, list(zip(primes, heights)))
+                pool.append({"kind": kind, "n": n, "jumps": [list(j) for j in zip(primes, heights)],
+                             "generic": prof["generic"], "types": prof["jumps"]})
+            else:
+                a, b = rng.sample((2, 3, 5, 7, 11, 13), 2)
+                f = [rng.randint(-30, 30), rng.choice((-1, 1)) * a * b, rng.randint(-30, 30)]
+                pool.append({"kind": kind, "n": n, "f": f, "generic": [1, 1],
+                             "types": {str(q): [0, 2] for q in sorted((a, b))}})
+        return pool
+
+    def setup(self, A, inputs, workdir):
+        out = []
+        for b in inputs:
+            if b["kind"] == "prescribed":
+                B = A.prescribed_types(b["n"], [tuple(j) for j in b["jumps"]])
+            else:
+                B = A.bundle_from_normal_form(A.NormalForm.make(b["n"], A.Form.make(b["n"], b["f"])))
+            out.append(B.presentation)
+        return out
+
+    def _plan(self, seed):
+        """Seed-shuffled (bundle, prime) lists per kind; None is Z."""
+        if getattr(self, "_planned", (None,))[0] != seed:
+            pool = self.setup_inputs(seed)
+            combos = {"jump": [], "off": [], "zz": []}
+            for b, spec in enumerate(pool):
+                combos["zz"].append((b, None))
+                for q in oracle.PRIMES_TO_400:
+                    combos["jump" if str(q) in spec["types"] else "off"].append((b, q))
+            rng = _rng(self.name, seed, "plan")
+            for kind in combos:
+                rng.shuffle(combos[kind])
+            self._planned = (seed, pool, combos)
+        return self._planned[1:]
+
+    def make_op(self, seed, i):
+        pool, combos = self._plan(seed)
+        kind = self.CYCLE[i % self.cycle]
+        if kind == "repeat":
+            slots = self.REPEATABLE
+            earlier = i // self.cycle * len(slots) + sum(1 for k in slots if k < i % self.cycle)
+            c, k = divmod(_rng(self.name, seed, i).randrange(earlier), len(slots))
+            return dict(self.make_op(seed, c * self.cycle + slots[k]), kind=kind)
+        m = i // self.cycle * self.CYCLE.count(kind) + self.CYCLE[: i % self.cycle].count(kind)
+        b, q = combos[kind][m % len(combos[kind])]
+        split = pool[b]["generic"] if q is None else pool[b]["types"].get(str(q), pool[b]["generic"])
+        return {"kind": kind, "bundle": b, "p": q, "expect": [list(_type_h0_h1(split, t)) for t in self.TWISTS]}
+
+    def run(self, A, state, spec):
+        P = state[spec["bundle"]]
+        Q = P if spec["p"] is None else A.reduce_mod(P, spec["p"])
+        return [[A.h0_dim(Q, t), A.h1(Q, t)] for t in self.TWISTS]
+
+    def check(self, spec, out):
+        if out != spec["expect"]:
+            return f"(h0, h1) {out} != {spec['expect']} at p={spec['p']}"
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -543,4 +669,4 @@ def _unimodular(rng):
     return U
 
 
-WORKLOADS = {w.name: w for w in (Prescribe(), NormalForms(), Cli())}
+WORKLOADS = {w.name: w for w in (Prescribe(), NormalForms(), Sections(), Cli())}
