@@ -1,19 +1,24 @@
 """Rank-2 bundle invariants on the projective line over the integers.
 
-A :class:`BundleHandle` wraps a verified locally-free rank-2 presentation.
-On construction the presentation is re-presented from its section lattices
-(saturated), which buys two things:
+A :class:`BundleHandle` wraps a verified locally-free rank-2 presentation
+E = coker(phi: F1 -> F0), re-presented from its section lattices on
+construction (the stored handle format).
 
-* module pieces equal the full section lattices from the first section
-  twist on, so sections can be written against the generators, and
-* pair spaces are stabilized as soon as every piece is live, so the
-  jump-prime probe below is sound at a single small exponent.
+Splitting profiles are read off the dual.  Hom(-, O) is left exact, so
+E^v = ker(phi^T) exactly, over Q and on the fiber over every prime, and the
+sections of E^v(d) are the kernel of the degree-d piece of phi^T:
 
-Jump detection probes the twist -b-1 just below the generic splitting: a
-prime jumps the splitting type iff the fiber gains a section there, iff the
-prime divides one of the invariant-factor discriminants of the probe
-eliminations.  Every candidate is then verified by an honest splitting scan
-mod p, so spurious divisors are harmless.
+* the generic type (a, b) has a = the first twist d with ker(phi^T)_d != 0
+  and b = degree - a;
+* the piece M of phi^T at a - 1 is injective over Q, and the number c_p of
+  its Smith invariants divisible by p is h^0(E_p^v(a - 1)) = a - a_p.  So
+  the jump primes are the prime divisors of the largest invariant and the
+  type at p is (a - c_p, b + c_p).
+
+Every reported type is then checked against the Hilbert function of E from
+the independent pair engine of :mod:`cohomology`.  Before any of this,
+:func:`bundle_handle` checks that E is locally free: the (g-2)-minors of phi,
+g the number of generators, must have no common zero on P^1 over Z.
 """
 
 from __future__ import annotations
@@ -22,34 +27,31 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
-from .cohomology import (
-    express_section_as_forms,
-    h0_dim,
-    lattice_family,
-    presentation_from_sections,
-    probe_matrices,
-    provider_from_family,
-    resaturate,
-    sheaf_rank_degree,
-    stabilization_floor,
-    window_guard,
-)
+from .cohomology import h0_dim, resaturate, sheaf_rank_degree
 from .errors import (
     IdentityViolation,
     NotLocallyFree,
     ParityViolation,
     ProfileInconsistent,
-    WindowExhausted,
 )
 from .exactlat import (
-    partial_factor,
+    IntegerMatrix,
+    LatticeBasis,
+    kernel_lattice,
     prime_divisors,
-    quotient_group_data,
-    rank_and_disc,
-    rank_uniform_mod,
+    rank_of,
+    smith_invariants,
 )
-from .graded import GradedPresentation, cokernel_presentation, reduce_mod
+from .graded import (
+    Form,
+    FreeGraded,
+    GradedMap,
+    GradedPresentation,
+    degree_piece,
+    reduce_mod,
+)
 from .graded import twist as twist_presentation
 
 
@@ -153,37 +155,98 @@ class BundleHandle:
         }
 
 
+# ---------------------------------------------------------------------------
+# rows of forms without a common zero
+
+
+def row_onto_degree(row, twists, a: int) -> int | None:
+    """Degree at which the row F0 -> O(a) is onto over Z, or None.
+
+    ``row[i]`` has degree ``a - twists[i]``.  The piece landing in degree
+    N = max(0, 2*delta - 1), delta the largest form degree, is onto modulo
+    every prime exactly when its columns span Z^(N+1), i.e. it has full row
+    rank and every Smith invariant is 1.  Forms with a common zero mod p are
+    refused at any N; forms without one over any field are onto from
+    2*delta - 1 on, so the test is complete.
+    """
+    N = max(0, 2 * max(f.degree for f in row) - 1)
+    row_map = GradedMap(FreeGraded(tuple(twists)), FreeGraded((a,)), (tuple(row),))
+    M = degree_piece(row_map, N - a)
+    span = LatticeBasis.from_vectors(M.rows, M.columns_list())
+    return N if span.matrix == IntegerMatrix.identity(M.rows) else None
+
+
+def _det(rows: list[list[Form]], degree: int) -> Form:
+    """Determinant of a square matrix of forms whose expansion terms have ``degree``."""
+    if not rows:
+        return Form.constant(1)
+    total = Form.zero(degree)
+    for j, f in enumerate(rows[0]):
+        if f.degree >= 0 and not f.is_zero():
+            term = f.mul(_det([r[:j] + r[j + 1 :] for r in rows[1:]], degree - f.degree))
+            total = total.add(term if j % 2 == 0 else term.scale(-1))
+    return total
+
+
+def _fitting_minors(phi: GradedMap) -> list[Form]:
+    """The (g-2)-minors of phi, g the number of generators.
+
+    A cokernel of generic rank 2 is locally free exactly when these have no
+    common zero on P^1 over Z: its second Fitting ideal is the unit ideal.
+    """
+    k = phi.target.rank - 2
+    out = []
+    for rows in combinations(range(phi.target.rank), k):
+        for cols in combinations(range(phi.source.rank), k):
+            degree = sum(phi.target.twists[i] for i in rows) - sum(
+                phi.source.twists[j] for j in cols
+            )
+            out.append(_det([[phi.entries[i][j] for j in cols] for i in rows], degree))
+    return out
+
+
 def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> BundleHandle:
     """Verify and wrap a presentation as a rank-2 bundle handle.
 
     Raises NotLocallyFree when the Hilbert function does not match a rank-2
-    pattern, and ProfileInconsistent when a splitting scan fails its
-    post-verification.
+    pattern or the (g-2)-minors share a zero somewhere over Z, and
+    ProfileInconsistent when a type read off the dual fails its
+    Hilbert-pattern check.
     """
     if P.base.kind != "ZZ":
         raise ValueError("bundle handles live over the integers")
     r, e = sheaf_rank_degree(P)
     if r != 2:
         raise NotLocallyFree(f"expected rank 2, found rank {r}")
+    minors = _fitting_minors(P.map)
+    if not minors or row_onto_degree(minors, [-m.degree for m in minors], 0) is None:
+        raise NotLocallyFree("the (g-2)-minors of the presentation share a zero")
     if not assume_saturated:
         P, _, _ = resaturate(P)
         if sheaf_rank_degree(P) != (r, e):
             raise NotLocallyFree("resaturation changed rank/degree; bad presentation")
     handle = BundleHandle(P, r, e)
-    type_profile(handle)  # verifies generic and fiber splitting patterns
+    type_profile(handle)  # checks the generic and jump splitting patterns
     return handle
 
 
 # ---------------------------------------------------------------------------
-# splitting scans
+# splitting types from the dual
 
 
 def _scan_guard(P: GradedPresentation) -> int:
     return 2 + max((abs(t) for t in P.all_twists()), default=0)
 
 
+def _check_pattern(Q: GradedPresentation, st: SplittingType) -> None:
+    """Pair-engine h^0 at twists -b-1 .. -b+3 must match the splitting type."""
+    for d in range(-st.b - 1, -st.b + 4):
+        if h0_dim(Q, d) != st.h0_at(d):
+            raise ProfileInconsistent(f"h0 at twist {d} does not match splitting {st}")
+
+
 def _splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
-    """First-section scan with Hilbert-pattern post-verification."""
+    """First-section scan with the pair engine, then the Hilbert-pattern check."""
     guard = _scan_guard(Q)
     d = -(abs(degree) + guard)
     top = abs(degree) + guard + 1
@@ -198,11 +261,7 @@ def _splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
             f"sections first appear at twist {d}, inconsistent with degree {degree}"
         )
     st = SplittingType(a, b)
-    for dd in range(d, d + 4):
-        if h0_dim(Q, dd) != st.h0_at(dd):
-            raise ProfileInconsistent(
-                f"h0 at twist {dd} does not match splitting {st}"
-            )
+    _check_pattern(Q, st)
     return st
 
 
@@ -222,56 +281,42 @@ def audit_splitting(B: BundleHandle, p: int) -> SplittingType:
     return _splitting_scan(reduce_mod(B.presentation, p), B.degree)
 
 
-def candidate_jump_primes(P: GradedPresentation, probe: int, e_det: int) -> list[int]:
-    """Primes that can possibly change h^0 at the probe twist.
-
-    The covolume discriminants of the probe eliminations are factored with
-    a bounded effort; any stubborn composite cofactor is then dismissed
-    wholesale by a unit-pivot elimination over Z modulo the cofactor, which
-    certifies that no prime dividing it drops any of the three ranks (junk
-    covolume factors are often huge and not worth factoring).
-    """
-    stacked, K, B, ranks = probe_matrices(P, probe, e_det)
-    _, d1 = rank_and_disc(stacked)
-    _, d2 = rank_and_disc(K)
-    _, d3 = rank_and_disc(B)
-    primes, leftovers = partial_factor(d1 * d2 * d3)
-    out = set(primes)
-    stack = list(leftovers)
-    while stack:
-        cofactor = stack.pop()
-        results = [rank_uniform_mod(X, cofactor) for X in (stacked, K, B)]
-        split = next((v for kind, v in results if kind == "split"), None)
-        if split is not None:
-            for part in (split, cofactor // split):
-                ps, more = partial_factor(part)
-                out.update(ps)
-                stack.extend(more)
-            continue
-        if [v for _, v in results] == list(ranks):
-            continue  # every prime dividing the cofactor keeps all ranks
-        out.update(prime_divisors(cofactor))  # genuine candidates: full effort
-    return sorted(out)
+def _transpose(phi: GradedMap) -> GradedMap:
+    """phi^T: F0^v -> F1^v, whose kernel is the dual bundle Hom(coker phi, O)."""
+    return GradedMap(
+        FreeGraded(tuple(-t for t in phi.target.twists)),
+        FreeGraded(tuple(-t for t in phi.source.twists)),
+        tuple(tuple(row[j] for row in phi.entries) for j in range(phi.source.rank)),
+    )
 
 
 @lru_cache(maxsize=None)
 def _profile_cached(P: GradedPresentation, degree: int) -> SplittingProfile:
-    generic = _splitting_scan(P, degree)
-    probe = -generic.b - 1
-    # Saturated presentations have fully stabilized pair spaces once every
-    # piece is live, so one elimination at the floor is a sound candidate
-    # detector; divisors are then verified one by one.
-    e_det = stabilization_floor(P, probe) + 1
+    dual = _transpose(P.map)
+    # E^v is a subsheaf of F0^v, so it has no sections below the least
+    # generator twist; a <= b bounds the scan from above.
+    for a in range(min(P.map.target.twists, default=degree), degree // 2 + 1):
+        piece = degree_piece(dual, a)
+        if rank_of(piece) < piece.cols:
+            break
+    else:
+        raise ProfileInconsistent(
+            f"the dual has no sections up to twist {degree // 2}; "
+            f"not a rank-2 bundle of degree {degree}"
+        )
+    generic = SplittingType(a, degree - a)
+    below = degree_piece(dual, a - 1)
+    invariants = smith_invariants(below)
+    if len(invariants) != below.cols:
+        raise ProfileInconsistent(f"the dual has sections below twist {a}")
     jumps = []
-    for p in candidate_jump_primes(P, probe, e_det):
-        st = _splitting_scan(reduce_mod(P, p), degree)
-        if st.type > generic.type:
-            jumps.append((p, st))
-        elif st.type < generic.type:
-            raise ProfileInconsistent(
-                f"semicontinuity violated at {p}: {st} below generic {generic}"
-            )
-    return SplittingProfile(generic, tuple(sorted(jumps)))
+    for p in prime_divisors(max(invariants, default=1)):
+        c = sum(1 for x in invariants if x % p == 0)
+        jumps.append((p, SplittingType(a - c, generic.b + c)))
+    _check_pattern(P, generic)
+    for p, st in jumps:
+        _check_pattern(reduce_mod(P, p), st)
+    return SplittingProfile(generic, tuple(jumps))
 
 
 def type_profile(B: BundleHandle) -> SplittingProfile:
@@ -302,7 +347,11 @@ def check_parity(B: BundleHandle) -> dict[int, int]:
 
 
 def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
-    """Normalized identity: type delta equals 2 h^0 of the fiber at each jump."""
+    """Normalized identity: type delta equals 2 h^0 of the fiber at each jump.
+
+    The delta comes from the dual Smith form and h^0 from the pair engine,
+    so the identity compares two independent computations.
+    """
     N = normalize(B)
     prof = type_profile(N)
     out = {}
@@ -323,104 +372,46 @@ def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Explicit witness that a constant-profile bundle splits.
+    """Witness that a constant-profile bundle E is O(a) + O(b).
 
-    ``section`` is the chosen global section of E(-a) in pair coordinates;
-    the quotient by it was verified to be a line bundle of degree b at the
-    generic point and at every candidate prime.
+    ``row`` is a section of E^v(a) = ker(phi^T)_a, one form per generator:
+    a map E -> O(a).  Its degree piece landing in forms of degree ``degree``
+    is onto over Z, so the forms have no common zero on any fiber and
+    E -> O(a) is onto everywhere.  The kernel is then a line bundle of
+    degree b, and H^1(O(b - a)) = 0 splits the sequence.
     """
 
     split: SplittingType
-    section: tuple[int, ...]
-    exponent: int
-    twist: int
-    verified_primes: tuple[int, ...]
+    row: tuple[Form, ...]
+    degree: int
 
     def to_json(self) -> dict:
         return {
             "split": self.split.to_json(),
-            "section": [str(c) for c in self.section],
-            "exponent": self.exponent,
-            "twist": self.twist,
-            "verified_primes": [str(p) for p in self.verified_primes],
+            "row": [f.to_json() for f in self.row],
+            "degree": self.degree,
         }
 
 
 def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
-    """Look for a section of E(-a) whose quotient is a verified line bundle.
+    """Split certificate for a constant profile, read off ker(phi^T)_a.
 
-    Only runs when the profile is constant; returns None both when it is not
-    and when the bounded search finds no witness (inconclusive, never a
+    Returns None when the profile has jumps, and also when the first basis
+    vector of ker(phi^T)_a fails the onto check (inconclusive, never a
     disproof).
     """
     prof = type_profile(B)
     if prof.jumps:
         return None
-    a, b = prof.generic.a, prof.generic.b
-    P = B.presentation
-    fam, lineage, pres = _window_presentation(P, -b, -a + window_guard() + 2)
-    piece = fam.piece(-a)
-    gens, orders = quotient_group_data(piece.K, piece.B.vectors())
-    basis = [g for g, o in zip(gens, orders) if o == 0]
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j:
-                candidates.append(tuple(x + y for x, y in zip(basis[i], basis[j])))
-                candidates.append(tuple(x - y for x, y in zip(basis[i], basis[j])))
-    for vec in candidates[:200]:
-        cert = _verify_split_section(fam, lineage, pres, vec, a, b)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _window_presentation(P: GradedPresentation, lo: int, hi: int):
-    """Family plus matching engine presentation over a window, with retries."""
-    for extra in (0, 4, 8):
-        fam = lattice_family(P, (lo, hi + extra))
-        provider = provider_from_family(fam)
-        try:
-            pres, lineage = presentation_from_sections(provider, P.base)
-            return fam, lineage, pres
-        except WindowExhausted:
-            continue
-    raise WindowExhausted("window presentation kept growing without settling")
-
-
-def _verify_split_section(fam, lineage, pres, vec, a, b) -> SplitCertificate | None:
-    try:
-        forms = express_section_as_forms(fam, lineage, -a, vec)
-    except ValueError:
+    a = prof.generic.a
+    phi = B.presentation.map
+    w = kernel_lattice(degree_piece(_transpose(phi), a)).vectors()[0]
+    row, start = [], 0
+    for t in phi.target.twists:
+        size = max(0, a - t + 1)
+        row.append(Form(a - t, tuple(w[start : start + size])))
+        start += size
+    N = row_onto_degree(row, phi.target.twists, a)
+    if N is None:
         return None
-    old_cols = [
-        (
-            pres.map.source.twists[j],
-            [pres.map.entries[i][j] for i in range(pres.map.target.rank)],
-        )
-        for j in range(pres.map.source.rank)
-    ]
-    try:
-        Q = cokernel_presentation(
-            pres.map.target.twists, old_cols + [(a, forms)], pres.base
-        )
-    except ValueError:
-        return None
-    try:
-        rq, eq = sheaf_rank_degree(Q)
-    except NotLocallyFree:
-        return None
-    if (rq, eq) != (1, b):
-        return None
-    for d in (-b - 2, -b - 1, -b, -b + 1, abs(b) + 2):
-        if h0_dim(Q, d) != max(0, b + d + 1):
-            return None
-    primes = candidate_jump_primes(Q, -b - 1, stabilization_floor(Q, -b - 1) + 1)
-    for p in primes:
-        Qp = reduce_mod(Q, p)
-        for d in (-b - 1, -b, abs(b) + 2, abs(b) + 3):
-            if h0_dim(Qp, d) != max(0, b + d + 1):
-                return None
-    return SplitCertificate(
-        SplittingType(a, b), tuple(vec), fam.exponent, -a, tuple(primes)
-    )
+    return SplitCertificate(prof.generic, tuple(row), N)

@@ -23,7 +23,7 @@ from .bundles import (
     type_profile,
 )
 from .delpezzo import PointConfiguration, classify, general_position
-from .errors import ArithsurfError
+from .errors import ArithsurfError, InvalidInput, schema_checked
 from .exactlat import is_prime
 from .graded import Form, GradedPresentation, parse_form
 from .hirzebruch import (
@@ -81,13 +81,24 @@ def _parse_jump(text: str):
     return int(parts[0]), int(parts[1])
 
 
+@schema_checked
+def _presentation_document(obj) -> GradedPresentation:
+    """The presentation in a result document, a bundle handle, or given bare."""
+    if "bundle" in obj:
+        obj = obj["bundle"]
+    return GradedPresentation.from_json(obj.get("presentation", obj))
+
+
 def _load_bundle(args) -> BundleHandle:
     if getattr(args, "bundle", None):
-        with open(args.bundle) as fh:
-            obj = json.load(fh)
-        if "bundle" in obj:
-            obj = obj["bundle"]
-        pres = GradedPresentation.from_json(obj.get("presentation", obj))
+        try:
+            with open(args.bundle) as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidInput(f"cannot read bundle file {args.bundle}: {exc}") from exc
+        pres = _presentation_document(obj)
+        if pres.base.kind != "ZZ":
+            raise InvalidInput(f"a bundle document must be over ZZ, not {pres.base}")
         return bundle_handle(pres)
     if getattr(args, "normal_form_n", None) is not None:
         nf = NormalForm.make(args.normal_form_n, args.normal_form_f or "0")

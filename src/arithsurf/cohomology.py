@@ -29,11 +29,11 @@ from .errors import NotLocallyFree, WindowExhausted
 from .exactlat import (
     IntegerMatrix,
     LatticeBasis,
-    kernel_lattice_with_disc,
+    kernel_lattice,
     kernel_mod,
     quotient_group_data,
     rref_mod,
-    span_lattice_with_disc,
+    span_lattice,
 )
 from .graded import (
     Form,
@@ -74,11 +74,6 @@ def stabilization_floor(P: GradedPresentation, d: int) -> int:
         if m > 0:
             floor = max(floor, (m + 1) // 2)
     return floor
-
-
-def hard_cap(P: GradedPresentation, d: int) -> int:
-    """Hard bound on the pair exponent: span and floor data plus the guard."""
-    return max(P.twist_span() + abs(d), stabilization_floor(P, d)) + window_guard()
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,7 @@ def pair_mult_vector(P: GradedPresentation, d: int, e: int, var: int, vec):
     return shift_pair_vector(P, d, e, vec, var, var)
 
 
-def _pair_data(P: GradedPresentation, d: int, e: int, collect: list | None = None) -> PairSpace:
+def _pair_data(P: GradedPresentation, d: int, e: int) -> PairSpace:
     gens = P.generators
     f = gens.piece_dim(d + e)
     mu = _mu_matrix(P, d, e)
@@ -218,12 +213,10 @@ def _pair_data(P: GradedPresentation, d: int, e: int, collect: list | None = Non
         K = _fp_span(2 * f, p, proj)
         B = _fp_span(2 * f, p, bvecs)
     else:
-        kern, disc_stacked = kernel_lattice_with_disc(stacked)
+        kern = kernel_lattice(stacked)
         proj = [v[: 2 * f] for v in kern.vectors()]
-        K, disc_k = span_lattice_with_disc(2 * f, proj)
-        B, disc_b = span_lattice_with_disc(2 * f, bvecs)
-        if collect is not None:
-            collect.extend(x for x in (disc_stacked, disc_k, disc_b) if abs(x) != 1)
+        K = span_lattice(2 * f, proj)
+        B = span_lattice(2 * f, bvecs)
     return PairSpace(d, e, f, K, B, K.rank - B.rank)
 
 
@@ -235,7 +228,7 @@ def _push_compatible(P: GradedPresentation, prev: PairSpace, cur: PairSpace) -> 
         p = P.base.char
         combined = _fp_span(2 * cur.f, p, pushed + cur.B.vectors())
         return combined == cur.K
-    combined, _ = span_lattice_with_disc(2 * cur.f, pushed + cur.B.vectors())
+    combined = span_lattice(2 * cur.f, pushed + cur.B.vectors())
     return combined == cur.K
 
 
@@ -430,65 +423,6 @@ def lattice_family(P: GradedPresentation, window: tuple[int, int]) -> SectionLat
             )
         pieces.append(FamilyPiece(s.d, cur.K, cur.B, cur.dim))
     return SectionLatticeFamily(P, d_min, d_max, e_star, tuple(pieces))
-
-
-# ---------------------------------------------------------------------------
-# jump discriminants
-
-# A prime can change h^0 at twist d only if it divides one of the pivot
-# products collected from the integer eliminations at the hard cap: the
-# stacked kernel matrix, the pair span and the relation-image span.  The
-# pivot product of an integer echelon equals the product of the Smith
-# invariant factors of the eliminated matrix, so "divides some invariant
-# factor" and "divides the collected discriminant" agree.
-
-
-def jump_discriminant(P: GradedPresentation, d: int) -> int:
-    """Product of the invariant-factor discriminants at (d, hard cap)."""
-    if P.base.kind != "ZZ":
-        raise ValueError("jump discriminants require an integral presentation")
-    collect: list[int] = []
-    _pair_data(P, d, hard_cap(P, d), collect)
-    out = 1
-    for x in collect:
-        out *= x
-    return abs(out)
-
-
-def probe_matrices(P: GradedPresentation, d: int, e: int):
-    """The three integer matrices whose mod-p rank drops control h^0 at (d, e).
-
-    Returns ``(stacked, K, B, ranks)`` where ``stacked`` is the pair kernel
-    matrix, K and B the canonical bases of the pair span and the relation
-    image span, and ``ranks`` their ranks over Q.  A prime changes the
-    section dimension at this twist only if it drops one of the ranks.
-    """
-    if P.base.kind != "ZZ":
-        raise ValueError("probe matrices require an integral presentation")
-    gens = P.generators
-    f = gens.piece_dim(d + e)
-    mu = _mu_matrix(P, d, e)
-    phi2 = degree_piece(P.map, d + 2 * e)
-    phi1 = degree_piece(P.map, d + e)
-    stacked = mu.hstack(phi2) if phi2.cols else mu
-    kern, _ = kernel_lattice_with_disc(stacked)
-    proj = [v[: 2 * f] for v in kern.vectors()]
-    K, _ = span_lattice_with_disc(2 * f, proj)
-    bvecs = []
-    for j in range(phi1.cols):
-        col = phi1.column(j)
-        if any(col):
-            bvecs.append(tuple(col) + (0,) * f)
-            bvecs.append((0,) * f + tuple(col))
-    B, _ = span_lattice_with_disc(2 * f, bvecs)
-    from .exactlat import rank_of
-
-    return (
-        stacked,
-        K.matrix,
-        B.matrix,
-        (rank_of(stacked), K.rank, B.rank),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -692,67 +626,6 @@ def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLine
     raise WindowExhausted("resaturation window kept growing without settling")
 
 
-def generator_columns(family: SectionLatticeFamily, lineage: GeneratorLineage, d: int):
-    """Evaluation columns of the lineage generators in degree d.
-
-    Returns ``(coords, cols)`` where ``coords[k] = (generator index, x1
-    exponent)`` names the monomial multiple whose section vector (in the
-    family's pair coordinates at twist d) is ``cols[k]``.
-    """
-    coords: list[tuple[int, int]] = []
-    cols: list[Vec] = []
-    for gidx, (dg, base_vec) in enumerate(zip(lineage.degrees, lineage.vectors)):
-        m = d - dg
-        if m < 0:
-            continue
-        layer = {(0, 0): base_vec}
-        for deg in range(1, m + 1):
-            nxt = {}
-            for j in range(deg + 1):
-                i = deg - j
-                if i > 0:
-                    nxt[(i, j)] = family.mult_vec(dg + deg - 1, 0, layer[(i - 1, j)])
-                else:
-                    nxt[(i, j)] = family.mult_vec(dg + deg - 1, 1, layer[(i, j - 1)])
-            layer = nxt
-        for j in range(m + 1):
-            coords.append((gidx, j))
-            cols.append(layer[(m - j, j)])
-    return coords, cols
-
-
-def express_section_as_forms(
-    family: SectionLatticeFamily,
-    lineage: GeneratorLineage,
-    d: int,
-    vector: Vec,
-) -> list[Form]:
-    """Write a twist-d section vector as form coefficients on the generators.
-
-    Raises ValueError when the vector is not an integer combination of the
-    generators modulo relations at that twist.
-    """
-    from .exactlat import solve_in_span
-
-    coords, cols = generator_columns(family, lineage, d)
-    bvecs = family.piece(d).B.vectors()
-    sol = solve_in_span([list(c) for c in cols] + [list(b) for b in bvecs], list(vector))
-    if sol is None:
-        raise ValueError("section is not generated at this twist")
-    forms = []
-    for gidx, dg in enumerate(lineage.degrees):
-        m = d - dg
-        if m < 0:
-            forms.append(Form.zero(m))
-            continue
-        coeffs = [0] * (m + 1)
-        for k, (gi, j) in enumerate(coords):
-            if gi == gidx:
-                coeffs[j] = sol[k]
-        forms.append(Form(m, tuple(coeffs)))
-    return forms
-
-
 def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> LatticeBasis:
     """Lattice { c : sum c_i columns_i lies in span(B) }."""
     n = len(columns)
@@ -764,7 +637,7 @@ def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> Latti
         for t in range(ambient)
     ]
     mat = IntegerMatrix.from_rows(rows, cols=n + len(bvecs))
-    kern, _ = kernel_lattice_with_disc(mat)
+    kern = kernel_lattice(mat)
     proj = [v[:n] for v in kern.vectors()]
-    lat, _ = span_lattice_with_disc(n, proj)
+    lat = span_lattice(n, proj)
     return lat

@@ -5,9 +5,30 @@ Every error that a computation can raise by contract derives from
 failures to structured reports without catching unrelated bugs.
 """
 
+import functools
+
 
 class ArithsurfError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class InvalidInput(ArithsurfError):
+    """An input file or JSON document is unreadable or does not fit its schema."""
+
+
+def schema_checked(loader):
+    """Turn the lookup and conversion errors of a ``from_json`` loader into InvalidInput."""
+
+    @functools.wraps(loader)
+    def checked(obj):
+        try:
+            return loader(obj)
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+            raise InvalidInput(
+                f"{loader.__qualname__}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    return checked
 
 
 class CompositeModulus(ArithsurfError):
@@ -23,7 +44,7 @@ class WindowExhausted(ArithsurfError):
 
 
 class NotLocallyFree(ArithsurfError):
-    """The Hilbert function of a presented sheaf fails the bundle pattern."""
+    """A presented sheaf fails the bundle pattern or the Fitting-ideal test."""
 
 
 class ProfileInconsistent(ArithsurfError):

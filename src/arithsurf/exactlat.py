@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
-from .errors import CompositeModulus
+from .errors import ArithsurfError, CompositeModulus, schema_checked
 
 Vec = tuple[int, ...]
 
@@ -140,6 +140,7 @@ class IntegerMatrix:
         return {"rows": self.rows, "cols": self.cols, "entries": [str(e) for e in self.entries]}
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "IntegerMatrix":
         return IntegerMatrix(int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
 
@@ -155,11 +156,10 @@ class IntegerMatrix:
 def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
     """Bring ``rows`` to integer row echelon form by unimodular row operations.
 
-    Returns ``(rows, pivots, trans, disc)`` where ``pivots`` is a list of
-    ``(row, col)`` pairs with positive pivot entries, ``trans`` (if requested)
-    satisfies ``trans * original = rows``, and ``disc`` is the product of the
-    pivots: the covolume of the row lattice, i.e. the product of its Smith
-    invariant factors.  Zero rows end up at the bottom.
+    Returns ``(rows, pivots, trans)`` where ``pivots`` is a list of
+    ``(row, col)`` pairs with positive pivot entries and ``trans`` (if
+    requested) satisfies ``trans * original = rows``.  Zero rows end up at
+    the bottom.
     """
     m = len(rows)
     trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
@@ -200,10 +200,7 @@ def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
                     trans[r] = [-a for a in trans[r]]
             pivots.append((r, c))
             r += 1
-    disc = 1
-    for (i, c) in pivots:
-        disc *= rows[i][c]
-    return rows, pivots, trans, disc
+    return rows, pivots, trans
 
 
 def _reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]]):
@@ -220,25 +217,15 @@ def _reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]]):
 def row_hnf(vectors: list[list[int]] | list[Vec], ncols: int) -> list[Vec]:
     """Canonical row Hermite form of the lattice spanned by ``vectors``."""
     rows = [list(v) for v in vectors]
-    rows, pivots, _, _ = _echelon(rows, ncols)
+    rows, pivots, _ = _echelon(rows, ncols)
     _reduce_above(rows, pivots)
     return [tuple(rows[i]) for (i, _) in pivots]
 
 
 def rank_of(M: IntegerMatrix) -> int:
     """Rank of an integer matrix over the rationals."""
-    _, pivots, _, _ = _echelon(M.rows_list(), M.cols)
+    _, pivots, _ = _echelon(M.rows_list(), M.cols)
     return len(pivots)
-
-
-def rank_and_disc(M: IntegerMatrix) -> tuple[int, int]:
-    """Rank over Q together with the product of the Smith invariant factors.
-
-    A prime reduces the rank of ``M`` iff it divides the returned product,
-    which is what jump-prime candidate detection consumes.
-    """
-    _, pivots, _, disc = _echelon(M.rows_list(), M.cols)
-    return len(pivots), disc
 
 
 def determinant(M: IntegerMatrix) -> int:
@@ -330,40 +317,27 @@ class LatticeBasis:
         return {"ambient": self.ambient, "basis": self.matrix.to_json()}
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "LatticeBasis":
         return LatticeBasis(int(obj["ambient"]), IntegerMatrix.from_json(obj["basis"]))
 
 
 def kernel_lattice(M: IntegerMatrix) -> LatticeBasis:
-    """Canonical basis of the saturated lattice {v in Z^cols : Mv = 0}."""
-    basis, _ = kernel_lattice_with_disc(M)
-    return basis
-
-
-def kernel_lattice_with_disc(M: IntegerMatrix) -> tuple[LatticeBasis, int]:
-    """Kernel lattice plus the invariant-factor product of ``M``.
+    """Canonical basis of the saturated lattice {v in Z^cols : Mv = 0}.
 
     The transform rows of the echelon of M^T that pair with zero echelon rows
     form a basis of the kernel; being rows of a unimodular matrix they span
     the full (saturated) kernel.
     """
     rows = M.transpose().rows_list()
-    rows, pivots, trans, disc = _echelon(rows, M.rows, transform=True)
+    rows, pivots, trans = _echelon(rows, M.rows, transform=True)
     pivot_rows = {i for (i, _) in pivots}
     vectors = [trans[i] for i in range(len(rows)) if i not in pivot_rows]
-    return LatticeBasis.from_vectors(M.cols, vectors), disc
+    return LatticeBasis.from_vectors(M.cols, vectors)
 
 
 def span_lattice(ambient: int, vectors) -> LatticeBasis:
     return LatticeBasis.from_vectors(ambient, vectors)
-
-
-def span_lattice_with_disc(ambient: int, vectors) -> tuple[LatticeBasis, int]:
-    rows = [list(v) for v in vectors]
-    rows, pivots, _, disc = _echelon(rows, ambient)
-    _reduce_above(rows, pivots)
-    canon = [list(rows[i]) for (i, _) in pivots]
-    return LatticeBasis(ambient, IntegerMatrix.from_columns(canon, nrows=ambient)), disc
 
 
 def saturation(L: LatticeBasis) -> LatticeBasis:
@@ -445,7 +419,8 @@ def smith_invariants(M: IntegerMatrix) -> tuple[int, ...]:
         out.append(piv)
         top += 1
     for d, e in zip(out, out[1:]):
-        assert e % d == 0, "invariant factor chain broken"
+        if e % d:
+            raise ArithsurfError(f"invariant factor chain broken: {d} does not divide {e}")
     return tuple(out)
 
 
@@ -557,39 +532,6 @@ def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int
     return gens, orders
 
 
-def solve_in_span(vectors, target) -> list[int] | None:
-    """Integer coefficients c with sum(c_i vectors_i) = target, or None.
-
-    ``vectors`` are ambient column vectors; the solution need not be unique
-    when they are dependent, any witness is returned.
-    """
-    n = len(vectors)
-    if n == 0:
-        return [] if not any(target) else None
-    ambient = len(vectors[0])
-    rows = [list(v) for v in vectors]
-    rows, pivots, trans, _ = _echelon(rows, ambient, transform=True)
-    # rows = trans * original; solve sum_j y_j rows_j = target by echelon
-    work = list(target)
-    y = [0] * n
-    for idx, (i, c) in enumerate(pivots):
-        q, rem = divmod(work[c], rows[i][c])
-        if rem:
-            return None
-        y[i] = q
-        if q:
-            work = [a - q * b for a, b in zip(work, rows[i])]
-    if any(work):
-        return None
-    # pull back through the transform: coefficients on original vectors
-    out = [0] * n
-    for i in range(n):
-        if y[i]:
-            for j in range(n):
-                out[j] += y[i] * trans[i][j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # prime fields
 
@@ -686,12 +628,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int, rng: random.Random, max_iter: int | None = None) -> int | None:
-    """A nontrivial factor of composite n, or None once the budget runs out."""
+def _pollard_brent(n: int, rng: random.Random) -> int:
+    """A nontrivial factor of composite n."""
     if n % 2 == 0:
         return 2
-    spent = 0
-    while max_iter is None or spent < max_iter:
+    while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m = 128
@@ -709,10 +650,7 @@ def _pollard_brent(n: int, rng: random.Random, max_iter: int | None = None) -> i
                     q = q * abs(x - y) % n
                 g = gcd(q, n)
                 k += m
-            spent += 2 * r
             r *= 2
-            if max_iter is not None and spent >= max_iter and g == 1:
-                return None
         if g == n:
             g = 1
             while g == 1:
@@ -720,7 +658,6 @@ def _pollard_brent(n: int, rng: random.Random, max_iter: int | None = None) -> i
                 g = gcd(abs(x - ys), n)
         if g != n:
             return g
-    return None
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -764,97 +701,3 @@ def prime_divisors(n: int) -> list[int]:
     if n == 0 or abs(n) == 1:
         return []
     return sorted(factorize(n))
-
-
-def partial_factor(n: int, rho_budget: int = 200_000) -> tuple[list[int], list[int]]:
-    """Prime divisors of |n| found within a bounded effort, plus leftovers.
-
-    Trial division up to 10^5 followed by budgeted Brent-Pollard rounds.
-    Returns ``(primes, composites)`` where the composites are pairwise
-    products of primes above the trial bound that resisted the budget.
-    """
-    n = abs(n)
-    if n <= 1:
-        return [], []
-    primes: set[int] = set()
-    for q in (2, 3, 5):
-        if n % q == 0:
-            primes.add(q)
-            while n % q == 0:
-                n //= q
-    d = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 100_000:
-        if n % d == 0:
-            primes.add(d)
-            while n % d == 0:
-                n //= d
-        d += inc[i]
-        i = (i + 1) % 8
-    leftovers: list[int] = []
-    rng = random.Random(0xA52)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            primes.add(m)
-            continue
-        root = isqrt(m)
-        if root * root == m:
-            stack.append(root)
-            stack.append(root)
-            continue
-        g = _pollard_brent(m, rng, max_iter=rho_budget)
-        if g is None:
-            leftovers.append(m)
-        else:
-            stack.append(g)
-            stack.append(m // g)
-    return sorted(primes), leftovers
-
-
-def rank_uniform_mod(M: IntegerMatrix, modulus: int):
-    """Rank of M modulo every prime dividing ``modulus`` at once.
-
-    Gaussian elimination over Z/modulus using unit pivots only.  Returns
-    ``("rank", r)`` when the elimination is valid for every prime divisor
-    simultaneously, or ``("split", g)`` with a proper divisor of the modulus
-    when a nonzero non-unit entry blocks it (free factor material).
-    """
-    a = [[x % modulus for x in row] for row in M.rows_list()]
-    m = len(a)
-    n = M.cols
-    rank = 0
-    row0 = 0
-    live_cols = list(range(n))
-    while row0 < m and live_cols:
-        pivot = None
-        for i in range(row0, m):
-            for c in live_cols:
-                e = a[i][c]
-                if e and gcd(e, modulus) == 1:
-                    pivot = (i, c)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            for i in range(row0, m):
-                for c in live_cols:
-                    if a[i][c]:
-                        return ("split", gcd(a[i][c], modulus))
-            return ("rank", rank)
-        i, c = pivot
-        a[row0], a[i] = a[i], a[row0]
-        inv = pow(a[row0][c], -1, modulus)
-        a[row0] = [(x * inv) % modulus for x in a[row0]]
-        for k in range(m):
-            if k != row0 and a[k][c]:
-                f = a[k][c]
-                a[k] = [(x - f * y) % modulus for x, y in zip(a[k], a[row0])]
-        live_cols.remove(c)
-        rank += 1
-        row0 += 1
-    return ("rank", rank)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CompositeModulus
+from .errors import CompositeModulus, schema_checked
 from .exactlat import IntegerMatrix, is_prime
 
 
@@ -130,6 +130,7 @@ class Form:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "Form":
         return Form(int(obj["degree"]), tuple(int(c) for c in obj["coeffs"]))
 
@@ -331,6 +332,7 @@ class GradedMap:
         }
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "GradedMap":
         return GradedMap(
             FreeGraded(tuple(int(t) for t in obj["source_twists"])),
@@ -440,6 +442,7 @@ class GradedPresentation:
         return {"base": str(self.base), "map": self.map.to_json()}
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "GradedPresentation":
         return GradedPresentation(ring_from_tag(obj["base"]), GradedMap.from_json(obj["map"]))
 

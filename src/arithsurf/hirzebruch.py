@@ -24,6 +24,7 @@ from .bundles import (
     try_split_certificate,
     type_profile,
 )
+from .errors import schema_checked
 from .graded import Form, cokernel_presentation, monomial_basis, parse_form
 
 
@@ -50,6 +51,7 @@ class NormalForm:
         return {"n": self.n, "f": self.f.to_json()}
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "NormalForm":
         return NormalForm(int(obj["n"]), Form.from_json(obj["f"]))
 
@@ -136,8 +138,9 @@ def constancy_check(nf: NormalForm) -> ConstancyResult:
     """Certify a constant-degree model as the split bundle, when possible.
 
     A constant profile of degree n forces the split model F_n; the returned
-    certificate carries the explicit section realizing the splitting.  A
-    non-constant profile is refused, and a failed search is inconclusive.
+    certificate carries a row of forms E -> O(a), read off the dual, that is
+    onto on every fiber.  A non-constant profile is refused, and a row that
+    fails the onto check is reported inconclusive.
     """
     B = bundle_from_normal_form(nf)
     prof = type_profile(B)

@@ -34,12 +34,14 @@ from .cohomology import (
     window_guard,
 )
 from .errors import (
+    CompositeModulus,
     DegreeMismatch,
     DuplicatePrime,
     NotSurjective,
     ProfileInconsistent,
     UnsupportedCenter,
     WindowExhausted,
+    schema_checked,
 )
 from .exactlat import (
     IntegerMatrix,
@@ -48,9 +50,8 @@ from .exactlat import (
     kernel_mod,
     quotient_group_data,
     rank_mod,
-    span_lattice_with_disc,
+    span_lattice,
 )
-from .errors import CompositeModulus
 from .graded import (
     Form,
     GradedPresentation,
@@ -106,6 +107,7 @@ class FiberQuotient:
         }
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "FiberQuotient":
         p, m = int(obj["p"]), int(obj["m"])
         if "row" in obj:
@@ -343,8 +345,7 @@ def _kernel_piece(P, q, d, e, K: LatticeBasis) -> LatticeBasis:
         out.append(tuple(acc))
     for v in vecs:
         out.append(tuple(q.p * x for x in v))
-    lat, _ = span_lattice_with_disc(K.ambient, out)
-    return lat
+    return span_lattice(K.ambient, out)
 
 
 def _assert_transform_contract(B: BundleHandle, out: BundleHandle, q: FiberQuotient):
@@ -428,6 +429,7 @@ class CenterSection:
         }
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "CenterSection":
         return CenterSection(
             int(obj["p"]),
@@ -470,6 +472,7 @@ class BlowupFactorization:
         }
 
     @staticmethod
+    @schema_checked
     def from_json(obj: dict) -> "BlowupFactorization":
         def profile(po):
             return SplittingProfile(

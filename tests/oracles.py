@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the production code paths: rational
 Gaussian elimination with Fraction arithmetic instead of integer echelon
-forms, cofactor determinants instead of Bareiss, and a direct fixed-index
-global-section solver instead of the stabilization machinery.
+forms and cofactor determinants instead of Bareiss.  The brute-force
+global-section solver is ``arithsurf.selftest.oracle_h0``, shared with the
+acceptance criteria.
 """
 
 from fractions import Fraction
@@ -191,136 +192,3 @@ def _mod_p_left_kernel(vectors, p):
     for i, pc in enumerate(piv):
         combo[pc] = (-a[i][fc]) % p
     return combo
-
-
-# ---------------------------------------------------------------------------
-# brute-force global sections of a graded presentation
-
-# These helpers rebuild the degreewise matrices straight from the coefficient
-# data of a presentation, so the oracle shares no linear algebra with the
-# package.
-
-
-def _piece_dims(twists, d):
-    return [max(0, a + d + 1) for a in twists]
-
-
-def _mult_block(coeffs, e, s):
-    """Matrix of multiplication by a binary form on degree-s monomials."""
-    rows = []
-    for t in range(s + e + 1):
-        row = []
-        for k_ in range(s + 1):
-            c = coeffs[t - k_] if 0 <= t - k_ <= e else 0
-            row.append(c)
-        rows.append(row)
-    return rows
-
-
-def _full_piece_matrix(gen_twists, src_twists, entry_grid, d):
-    """Degree-d matrix of a graded map given raw (degree, coeffs) entries."""
-    gdims = _piece_dims(gen_twists, d)
-    sdims = _piece_dims(src_twists, d)
-    rows = [[0] * sum(sdims) for _ in range(sum(gdims))]
-    roff = 0
-    for i, a in enumerate(gen_twists):
-        coff = 0
-        for j, b in enumerate(src_twists):
-            deg, coeffs = entry_grid[i][j]
-            s = b + d
-            if sdims[j] > 0 and gdims[i] > 0 and deg >= 0:
-                block = _mult_block(coeffs, deg, s)
-                for r in range(len(block)):
-                    for c in range(len(block[0])):
-                        rows[roff + r][coff + c] = block[r][c]
-            coff += sdims[j]
-        roff += gdims[i]
-    return rows
-
-
-def _monomial_power_block(var, e, s):
-    """Multiplication by x0^e (var 0) or x1^e (var 1) on degree-s monomials."""
-    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
-    for k_ in range(s + 1):
-        rows[k_ + (e if var else 0)][k_] = 1
-    return rows
-
-
-def oracle_h0(P, d):
-    """Brute-force h^0 of the sheaf presented by ``P`` twisted by ``d``.
-
-    Solves for section pairs (u, v) with x1^e u = x0^e v modulo the image of
-    the presentation map, at increasing denominator exponent e, accepting the
-    value once three consecutive exponents agree.
-    """
-    gens = tuple(P.map.target.twists)
-    rels = tuple(P.map.source.twists)
-    grid = [
-        [(f.degree, tuple(f.coeffs)) for f in row]
-        for row in P.map.entries
-    ]
-    p = P.base.char if P.base.kind == "GF" else None
-    all_tw = gens + rels
-    span = (max(all_tw) - min(all_tw)) if all_tw else 0
-    # no conclusions before every generator and relation piece is nonempty
-    floor = max(
-        [0]
-        + [-(a + d) for a in gens]
-        + [(-r - d + 1) // 2 for r in rels if -r - d > 0]
-    )
-    cap = floor + span + abs(d) + 8
-    history = []
-    for e in range(floor, cap + 1):
-        dim = _pair_dim(gens, rels, grid, d, e, p)
-        history.append(dim)
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return history[-1]
-    raise AssertionError("oracle failed to stabilize")
-
-
-def _pair_dim(gens, rels, grid, d, e, p):
-    f_dims = _piece_dims(gens, d + e)
-    f = sum(f_dims)
-    g_dims = _piece_dims(gens, d + 2 * e)
-    g = sum(g_dims)
-    # mu: (u, v) -> x1^e u - x0^e v, block per generator
-    mu = [[0] * (2 * f) for _ in range(g)]
-    roff = coff = 0
-    for i, a in enumerate(gens):
-        s = a + d + e
-        if f_dims[i] > 0 and g_dims[i] > 0:
-            b1 = _monomial_power_block(1, e, s)
-            b0 = _monomial_power_block(0, e, s)
-            for r in range(len(b1)):
-                for c in range(len(b1[0])):
-                    mu[roff + r][coff + c] = b1[r][c]
-                    mu[roff + r][f + coff + c] = -b0[r][c]
-        roff += g_dims[i]
-        coff += f_dims[i]
-    phi2 = _full_piece_matrix(gens, rels, grid, d + 2 * e)
-    phi1 = _full_piece_matrix(gens, rels, grid, d + e)
-    r2 = len(phi2[0]) if phi2 else 0
-    stacked = [mu[i] + phi2[i] for i in range(g)] if g else []
-    if p is None:
-        rank_stacked = gauss_rank(stacked) if stacked else 0
-        rank_phi2 = gauss_rank(phi2) if phi2 and r2 else 0
-        rank_phi1 = gauss_rank(phi1) if phi1 and (phi1 and len(phi1[0])) else 0
-    else:
-        rank_stacked = rank_mod_p(stacked, p) if stacked else 0
-        rank_phi2 = rank_mod_p(phi2, p) if phi2 and r2 else 0
-        rank_phi1 = rank_mod_p(phi1, p) if phi1 and len(phi1[0]) else 0
-    return 2 * f - rank_stacked + rank_phi2 - 2 * rank_phi1
-
-
-def oracle_splitting_type(P, degree):
-    """Splitting type of a rank-2 presented bundle by direct h^0 scanning."""
-    gens = tuple(P.map.target.twists)
-    rels = tuple(P.map.source.twists)
-    guard = 2 + max((abs(t) for t in gens + rels), default=0)
-    d = -(abs(degree) + guard)
-    while True:
-        if oracle_h0(P, d) > 0:
-            b = -d
-            return (degree - b, b)
-        d += 1
-        assert d <= abs(degree) + guard + 1, "oracle scan ran away"

@@ -10,16 +10,25 @@ from arithsurf.bundles import (
     check_parity,
     check_type_h0,
     normalize,
+    row_onto_degree,
     splitting_type,
     try_split_certificate,
     type_profile,
 )
-from arithsurf.cohomology import h0_dim
+from arithsurf.cohomology import h0_dim, sheaf_rank_degree
 from arithsurf.errors import NotLocallyFree, ParityViolation
-from arithsurf.graded import Form, cokernel_presentation, free_presentation, reduce_mod
+from arithsurf.exactlat import is_prime
+from arithsurf.graded import (
+    Form,
+    cokernel_presentation,
+    form_gcd_degree_mod,
+    free_presentation,
+    reduce_mod,
+)
 from arithsurf.graded import twist as twist_presentation
-
-from oracles import oracle_splitting_type
+from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
+from arithsurf.selftest import oracle_splitting
+from arithsurf.transforms import prescribed_types
 
 
 def nf_presentation(n, f):
@@ -41,8 +50,8 @@ def test_normal_form_5x0x1_matches_oracle():
     assert splitting_type(B) == SplittingType(1, 1)
     assert splitting_type(B, 5) == SplittingType(0, 2)
     # brute-force monomial oracle over Q and F_5 on the raw presentation
-    assert oracle_splitting_type(P, 2) == (1, 1)
-    assert oracle_splitting_type(reduce_mod(P, 5), 2) == (0, 2)
+    assert oracle_splitting(P, 2) == (1, 1)
+    assert oracle_splitting(reduce_mod(P, 5), 2) == (0, 2)
 
 
 def test_profile_normal_form_n1():
@@ -143,6 +152,63 @@ def test_split_certificate_type_two():
     assert cert.split == SplittingType(1, 3)
 
 
+def row_kills_relations(row, phi):
+    for j in range(phi.source.rank):
+        total = None
+        for i, w in enumerate(row):
+            term = w.mul(phi.entries[i][j])
+            total = term if total is None else total.add(term)
+        if total is not None and not total.is_zero():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+def test_split_certificate_constant_normal_forms(saturate):
+    # n = 1 always splits as (0, 1); n = 2 with a unit x0*x1 coefficient as (1, 1)
+    rng = random.Random(41)
+    for n in (1, 2) * 5:
+        f = [rng.randint(-10**6, 10**6) for _ in range(n + 1)]
+        if n == 2:
+            f[1] = rng.choice((-1, 1))
+        P = nf_presentation(n, Form.make(n, f))
+        B = bundle_handle(P) if saturate else bundle_handle(P, assume_saturated=True)
+        cert = try_split_certificate(B)
+        assert cert is not None, f
+        assert cert.split == type_profile(B).generic == SplittingType(n // 2, n - n // 2)
+        phi = B.presentation.map
+        assert row_kills_relations(cert.row, phi)
+        assert row_onto_degree(cert.row, phi.target.twists, cert.split.a) == cert.degree
+        assert cert.to_json()["row"] == [w.to_json() for w in cert.row]
+
+
+def test_row_onto_degree_refuses_a_common_zero_mod_p():
+    x0sq, x1sq = Form.monomial(2, 0), Form.monomial(2, 2)
+    assert row_onto_degree((x0sq, x1sq), (0, 0), 2) == 3
+    # no common zero over Q, but both vanish at x0 = 0 modulo 5
+    assert row_onto_degree((x0sq, Form.make(2, (0, 1, 5))), (0, 0), 2) is None
+    assert row_onto_degree((Form.constant(2), Form.constant(3)), (0, 0), 0) == 0
+    assert row_onto_degree((Form.constant(2), Form.constant(4)), (0, 0), 0) is None
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize(
+    "twists, column",
+    [
+        # O + O(1) + O_{F_5}(k): torsion over 5, invisible to the dual
+        ((0, 1, 0), (0, [Form.zero(0), Form.zero(1), Form.constant(5)])),
+        ((0, 1, 3), (3, [Form.zero(-3), Form.zero(-2), Form.constant(5)])),
+        # I + O(1) with I the ideal sheaf of the point (5, x0): flat over Z
+        ((0, -1, 1), (-1, [Form.monomial(1, 0), Form.constant(-5), Form.zero(2)])),
+    ],
+)
+def test_bundle_handle_rejects_sheaves_that_are_not_locally_free(twists, column, saturate):
+    P = cokernel_presentation(twists, [column])
+    assert sheaf_rank_degree(P)[0] == 2
+    with pytest.raises(NotLocallyFree):
+        bundle_handle(P, assume_saturated=not saturate)
+
+
 def test_rank_check_rejects_rank_one():
     with pytest.raises(NotLocallyFree):
         bundle_handle(free_presentation((0,)), assume_saturated=True)
@@ -153,3 +219,59 @@ def test_profile_json():
     obj = type_profile(B).to_json()
     assert obj["generic"] == [1, 1]
     assert set(obj["jumps"]) == {"2", "3"}
+
+
+# ---------------------------------------------------------------------------
+# the dual profile against the pair engine
+
+PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
+
+
+def assert_profile_matches_pair_engine(B):
+    prof = type_profile(B)
+    for p in sorted(set(PRIMES_TO_50) | set(prof.jump_map())):
+        assert audit_splitting(B, p) == prof.at(p), (p, prof.to_json())
+
+
+def random_dense_surjection(rng, p, n, ni):
+    while True:
+        g = Form.make(ni, [rng.randrange(p) for _ in range(ni + 1)])
+        h = Form.make(ni + n, [rng.randrange(p) for _ in range(ni + n + 1)])
+        if g.coeffs[0] and h.coeffs[-1] and form_gcd_degree_mod(g, h, p) == 0:
+            return g, h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_dual_profile_matches_pair_engine_normal_forms(n, seed):
+    rng = random.Random(100 * seed + n)
+    f = Form.make(n, [rng.randint(-30, 30) for _ in range(n + 1)])
+    assert_profile_matches_pair_engine(bundle_from_normal_form(NormalForm(n, f)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_dual_profile_matches_pair_engine_raw_presentations(n, seed):
+    # unsaturated presentations: the dual needs no resaturation
+    rng = random.Random(100 * seed + n + 50)
+    f = Form.make(n, [rng.randint(-30, 30) for _ in range(n + 1)])
+    assert_profile_matches_pair_engine(bundle_handle(nf_presentation(n, f), assume_saturated=True))
+
+
+def test_dual_profile_jump_of_height_two():
+    # f = 6*x0^2*x1^2 vanishes mod 2 and 3, where E_p = O + O(4)
+    B = bundle_handle(nf_presentation(4, Form.make(4, (0, 0, 6, 0, 0))), assume_saturated=True)
+    assert type_profile(B).to_json() == {"generic": [2, 2], "jumps": {"2": [0, 4], "3": [0, 4]}}
+    assert_profile_matches_pair_engine(B)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_profile_matches_pair_engine_dense_prescribed(seed):
+    rng = random.Random(300 + seed)
+    n = rng.randint(0, 2)
+    p, q = rng.sample([2, 3, 5, 7], 2)
+    ni = rng.randint(1, 2)
+    jumps = [(q, rng.randint(1, 2)), (p, ni, random_dense_surjection(rng, p, n, ni))]
+    B = prescribed_types(n, jumps)
+    assert type_profile(B).type_map() == {"generic": n, **{j[0]: n + 2 * j[1] for j in jumps}}
+    assert_profile_matches_pair_engine(B)

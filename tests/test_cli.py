@@ -76,6 +76,31 @@ def test_bundle_round_trip_through_file(tmp_path, capsys):
     assert doc2["profile"] == doc["profile"]
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"presentation": {"base": "ZZ", "map": {"source_twists": [], "target_twists": [0, -1]}}}',
+        '{"presentation": {"base": "ZZ", "map": {"source_twists": ["x"], "target_twists": [], "entries": []}}}',
+        '{"base": "ZZ", "map": {"source_twists": [-1], "target_twists": [0], "entries": [[{"degree": 2, "coeffs": ["1"]}]]}}',
+        '{"base": "GF(5)", "map": {"source_twists": [], "target_twists": [0, -1], "entries": [[], []]}}',
+        "[1, 2]",
+        "{",
+    ],
+)
+def test_bundle_document_errors_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, doc = run_cli(capsys, "bundle", "profile", "--bundle", str(path))
+    assert code == 2
+    assert doc["error"] == "InvalidInput"
+
+
+def test_missing_bundle_file_exits_2(tmp_path, capsys):
+    code, doc = run_cli(capsys, "bundle", "check", "--bundle", str(tmp_path / "absent.json"))
+    assert code == 2
+    assert doc["error"] == "InvalidInput"
+
+
 def test_transform_apply_and_errors(capsys):
     code, doc = run_cli(
         capsys,

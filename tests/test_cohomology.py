@@ -6,7 +6,6 @@ from arithsurf.cohomology import (
     h0,
     h0_dim,
     h1,
-    jump_discriminant,
     lattice_family,
     presentation_from_sections,
     provider_from_family,
@@ -26,8 +25,7 @@ from arithsurf.graded import (
     structure_sheaf,
     twist,
 )
-
-from oracles import oracle_h0
+from arithsurf.selftest import oracle_h0
 
 
 def normal_form_presentation(n, f):
@@ -190,13 +188,6 @@ def test_lattice_family_json():
     obj = fam.to_json()
     assert obj["window"] == [0, 1]
     assert len(obj["pieces"]) == 2
-
-
-def test_jump_discriminant_flags_the_right_primes():
-    # cokernel of (x0^2, x1^2, m*x0*x1) jumps exactly at primes dividing m
-    P = normal_form_presentation(2, Form.make(2, (0, 6, 0)))
-    disc = jump_discriminant(P, -2)
-    assert disc % 2 == 0 and disc % 3 == 0
 
 
 def test_resaturate_preserves_the_sheaf():

@@ -14,8 +14,7 @@ from arithsurf.hirzebruch import (
     equation_string,
     reduce_coefficients,
 )
-
-from oracles import oracle_splitting_type
+from arithsurf.selftest import oracle_splitting
 
 
 def test_equation_strings_canonical():
@@ -103,8 +102,8 @@ def test_profile_against_oracle_mod_p():
     nf = NormalForm.make(2, "6*x0*x1")
     P = bundle_from_normal_form(nf).presentation
     for p in (2, 3):
-        assert oracle_splitting_type(reduce_mod(P, p), 2) == (0, 2)
-    assert oracle_splitting_type(reduce_mod(P, 7), 2) == (1, 1)
+        assert oracle_splitting(reduce_mod(P, p), 2) == (0, 2)
+    assert oracle_splitting(reduce_mod(P, 7), 2) == (1, 1)
 
 
 def test_constancy_check():
