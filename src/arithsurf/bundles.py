@@ -176,33 +176,39 @@ def row_onto_degree(row, twists, a: int) -> int | None:
     return N if span.matrix == IntegerMatrix.identity(M.rows) else None
 
 
-def _det(rows: list[list[Form]], degree: int) -> Form:
-    """Determinant of a square matrix of forms whose expansion terms have ``degree``."""
-    if not rows:
-        return Form.constant(1)
-    total = Form.zero(degree)
-    for j, f in enumerate(rows[0]):
-        if f.degree >= 0 and not f.is_zero():
-            term = f.mul(_det([r[:j] + r[j + 1 :] for r in rows[1:]], degree - f.degree))
-            total = total.add(term if j % 2 == 0 else term.scale(-1))
-    return total
-
-
 def _fitting_minors(phi: GradedMap) -> list[Form]:
     """The (g-2)-minors of phi, g the number of generators.
 
     A cokernel of generic rank 2 is locally free exactly when these have no
     common zero on P^1 over Z: its second Fitting ideal is the unit ideal.
+    The t-minors are built from the (t-1)-minors by Laplace expansion along
+    their first row, so each smaller minor is computed once and shared by
+    every larger one that contains it.  A k-minor's expansion only reaches
+    the last t of its rows, so level t only needs row sets drawn from rows
+    k - t onward.  The list runs over row sets, then column sets, in
+    lexicographic order.
     """
     k = phi.target.rank - 2
-    out = []
-    for rows in combinations(range(phi.target.rank), k):
-        for cols in combinations(range(phi.source.rank), k):
-            degree = sum(phi.target.twists[i] for i in rows) - sum(
-                phi.source.twists[j] for j in cols
-            )
-            out.append(_det([[phi.entries[i][j] for j in cols] for i in rows], degree))
-    return out
+    rows_t, cols_t = phi.target.twists, phi.source.twists
+    level = {((), ()): Form.constant(1)}
+    for t in range(1, k + 1):
+        bigger = {}
+        for rows in combinations(range(k - t, phi.target.rank), t):
+            for cols in combinations(range(phi.source.rank), t):
+                degree = sum(rows_t[i] for i in rows) - sum(cols_t[j] for j in cols)
+                total = Form.zero(degree)
+                for j, c in enumerate(cols):
+                    f = phi.entries[rows[0]][c]
+                    if f.degree >= 0 and not f.is_zero():
+                        term = f.mul(level[(rows[1:], cols[:j] + cols[j + 1 :])])
+                        total = total.add(term if j % 2 == 0 else term.scale(-1))
+                bigger[(rows, cols)] = total
+        level = bigger
+    return [
+        level[(rows, cols)]
+        for rows in combinations(range(phi.target.rank), k)
+        for cols in combinations(range(phi.source.rank), k)
+    ]
 
 
 def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> BundleHandle:

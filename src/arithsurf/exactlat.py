@@ -357,12 +357,17 @@ def saturation(L: LatticeBasis) -> LatticeBasis:
 def smith_invariants(M: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Classical elementary-operations algorithm with smallest-pivot selection;
-    no modular tricks.  The divisibility chain is enforced by folding any
+    Unimodular column and then row operations first bring M to an r x r
+    triangular matrix, r = rank: the row Hermite form of the columns of the
+    Hermite basis of its column lattice.  Its entries are reduced below
+    their pivots, which keeps the classical elementary-operations algorithm
+    that follows (smallest-pivot selection, no modular tricks) from blowing
+    up the coefficients.  The divisibility chain is enforced by folding any
     non-divisible residual entry back into the pivot position.
     """
-    a = M.rows_list()
-    m, n = M.rows, M.cols
+    basis = row_hnf(M.columns_list(), M.rows)
+    a = [list(v) for v in row_hnf(list(zip(*basis)), len(basis))]
+    m = n = len(a)
     out: list[int] = []
     top = 0
     while True:

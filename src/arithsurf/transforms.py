@@ -5,16 +5,32 @@ surjection onto a line bundle supported on the fiber over one prime:
 
     0 -> E' -> E -> (fiber) O(m) -> 0
 
-The kernel is computed degreewise on section lattices (it contains p*E
-automatically), then re-presented through the generator/syzygy engine, so
-the result is an ordinary cokernel presentation and composes freely with
-everything else.  Only fiber-type centers are supported; horizontal ones
-are rejected.
+:func:`apply` computes the kernel degreewise on section lattices (it
+contains p*E automatically), then re-presents it through the
+generator/syzygy engine, so the result is an ordinary cokernel presentation
+and composes freely with everything else.  Only fiber-type centers are
+supported; horizontal ones are rejected.
+
+:func:`prescribed_types` needs no engine.  For E = O(-1) + O(-n-1) with
+generators e1, e2 and surjections (g_i, h_i) onto O_{F_{p_i}}(n_i - 1), let
+N = prod p_i and group the jumps by height: N_h = prod_{n_i = h} p_i, and
+G_h, H_h are the CRT lifts with G_h = g_i, H_h = h_i mod p_i.  The kernel is
+generated by N e1, N e2 and one (N/N_h) kappa_h per height, kappa_h =
+(H_h, -G_h) the Koszul syzygy, of twists -1, -n-1, -n-1-h.  Locally at p_i
+these are p E plus the lift of the only syzygy of the coprime pair mod p_i.
+The relations are free on one per height,
+
+    H_h (N e1) - G_h (N e2) - N_h ((N/N_h) kappa_h) = 0   (twist -n-1-h):
+
+in any relation the coefficient of (N/N_h) kappa_h is divisible by every p
+in N_h, so subtracting a multiple of this one leaves a relation among
+N e1, N e2 alone, which is zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .bundles import (
     BundleHandle,
@@ -55,10 +71,9 @@ from .exactlat import (
 from .graded import (
     Form,
     GradedPresentation,
-    degree_piece,
+    cokernel_presentation,
     form_gcd_degree_mod,
     free_presentation,
-    monomial_basis,
 )
 
 
@@ -374,6 +389,11 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
     ``jumps`` lists (p_i, n_i) or (p_i, n_i, (g_i, h_i)); the default
     surjections are (x0^ni, x1^(ni+n)).  The output profile is type n at
     unlisted primes and type n + 2 n_i at p_i.
+
+    The kernel of O(-1) + O(-n-1) -> sum_i O_{F_{p_i}}(n_i - 1) is written
+    down in closed form (module docstring): generators N e1, N e2 and one
+    CRT Koszul generator (N/N_h) kappa_h per distinct height h, one relation
+    per height.
     """
     if n < 0:
         raise ValueError("generic type must be nonnegative")
@@ -391,16 +411,50 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
         if p in seen:
             raise DuplicatePrime(f"prime {p} listed twice")
         seen.add(p)
-        specs.append(q)
-    handle = bundle_handle(free_presentation((-1, -n - 1)), assume_saturated=True)
-    pending = list(specs)
-    while pending:
-        q = pending.pop(0)
-        result = apply_full(handle, q)
-        # re-express the remaining surjections against the new generators
-        pending = [restricted_quotient(result, nxt) for nxt in pending]
-        handle = result.handle
+        specs.append((ni, q))
+    source = bundle_handle(free_presentation((-1, -n - 1)), assume_saturated=True)
+    for _, q in specs:
+        validate_quotient(source, q)
+    if not specs:
+        return source
+    groups: dict[int, list[FiberQuotient]] = {}
+    for ni, q in specs:
+        groups.setdefault(ni, []).append(q)
+    heights = sorted(groups)
+    twists = (-1, -n - 1) + tuple(-n - 1 - h for h in heights)
+    columns = []
+    for k, h in enumerate(heights):
+        qs = groups[h]
+        moduli = [q.p for q in qs]
+        G = _crt_form([q.row[0] for q in qs], moduli)
+        H = _crt_form([q.row[1] for q in qs], moduli)
+        # H (N e1) - G (N e2) - N_h ((N/N_h) kappa_h) = 0, twist -n-1-h
+        column = [H, G.scale(-1)]
+        for j, other in enumerate(heights):
+            column.append(Form.constant(-prod(moduli)) if j == k else Form.zero(h - other))
+        columns.append((-n - 1 - h, column))
+    handle = bundle_handle(cokernel_presentation(twists, columns), assume_saturated=True)
+    expect = SplittingProfile(
+        SplittingType(-n - 1, -1),
+        tuple(sorted((q.p, SplittingType(-n - 1 - ni, ni - 1)) for ni, q in specs)),
+    )
+    if type_profile(handle) != expect:
+        raise ProfileInconsistent(
+            f"closed-form kernel has profile {type_profile(handle).to_json()}, "
+            f"prescribed {expect.to_json()}"
+        )
     return handle
+
+
+def _crt_form(forms, moduli) -> Form:
+    """The form congruent to forms[i] mod moduli[i], coefficients in [0, prod)."""
+    M = prod(moduli)
+    coeffs = [0] * (forms[0].degree + 1)
+    for f, p in zip(forms, moduli):
+        basis = (M // p) * pow(M // p, -1, p)
+        for t, c in enumerate(f.coeffs):
+            coeffs[t] += c * basis
+    return Form(forms[0].degree, tuple(c % M for c in coeffs))
 
 
 # ---------------------------------------------------------------------------

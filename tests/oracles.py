@@ -8,7 +8,7 @@ acceptance criteria.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
 
@@ -109,6 +109,59 @@ def cofactor_det(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * cofactor_det(minor)
     return total
+
+
+def determinantal_invariants(rows):
+    """Smith invariants d_k / d_(k-1), d_k the gcd of all k x k minors."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = gcd(d, cofactor_det([[rows[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return tuple(out)
+
+
+def _perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def leibniz_minors(entries, target_twists, source_twists, k):
+    """All k-minors of a matrix of binary forms, by the permutation expansion.
+
+    ``entries[i][j]`` is the coefficient tuple of a form of degree
+    ``target_twists[i] - source_twists[j]`` (empty when that is negative).
+    Returns (degree, coefficients) pairs, row sets then column sets in
+    lexicographic order; a negative degree has no coefficients.
+    """
+    out = []
+    for rows in combinations(range(len(target_twists)), k):
+        for cols in combinations(range(len(source_twists)), k):
+            degree = sum(target_twists[i] for i in rows) - sum(source_twists[j] for j in cols)
+            total = [0] * (degree + 1) if degree >= 0 else []
+            for perm in permutations(range(k)):
+                poly = [_perm_sign(perm)]
+                for i, c in zip(rows, (cols[t] for t in perm)):
+                    factor = entries[i][c]
+                    step = [0] * (len(poly) + len(factor) - 1) if factor else []
+                    for a, x in enumerate(poly):
+                        for b, y in enumerate(factor):
+                            step[a + b] += x * y
+                    poly = step
+                for t, x in enumerate(poly):
+                    total[t] += x
+            out.append((degree, tuple(total)))
+    return out
 
 
 # ---------------------------------------------------------------------------

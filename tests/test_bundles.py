@@ -5,6 +5,7 @@ import pytest
 from arithsurf.bundles import (
     SplittingProfile,
     SplittingType,
+    _fitting_minors,
     audit_splitting,
     bundle_handle,
     check_parity,
@@ -20,6 +21,8 @@ from arithsurf.errors import NotLocallyFree, ParityViolation
 from arithsurf.exactlat import is_prime
 from arithsurf.graded import (
     Form,
+    FreeGraded,
+    GradedMap,
     cokernel_presentation,
     form_gcd_degree_mod,
     free_presentation,
@@ -29,6 +32,8 @@ from arithsurf.graded import twist as twist_presentation
 from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
 from arithsurf.selftest import oracle_splitting
 from arithsurf.transforms import prescribed_types
+
+from oracles import leibniz_minors
 
 
 def nf_presentation(n, f):
@@ -207,6 +212,52 @@ def test_bundle_handle_rejects_sheaves_that_are_not_locally_free(twists, column,
     assert sheaf_rank_degree(P)[0] == 2
     with pytest.raises(NotLocallyFree):
         bundle_handle(P, assume_saturated=not saturate)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fitting_minors_match_the_permutation_expansion(seed):
+    rng = random.Random(500 + seed)
+    tt = tuple(rng.randint(-1, 1) for _ in range(5))
+    st = tuple(rng.randint(-3, 0) for _ in range(5))
+    entries = tuple(
+        tuple(
+            Form.make(a - b, [rng.choice((0, rng.randint(-4, 4))) for _ in range(a - b + 1)])
+            if a >= b
+            else Form.zero(a - b)
+            for b in st
+        )
+        for a in tt
+    )
+    phi = GradedMap(FreeGraded(st), FreeGraded(tt), entries)
+    expect = leibniz_minors([[f.coeffs for f in row] for row in entries], tt, st, 3)
+    assert [(f.degree, f.coeffs) for f in _fitting_minors(phi)] == expect
+
+
+def _unimodular(rng, n, steps):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@pytest.mark.parametrize("torsion, ok", [(1, True), (2, False)])
+def test_bundle_handle_eight_constant_generators_and_relations(torsion, ok):
+    # U diag(1,1,1,1,1,torsion,0,0) V with dense unimodular U, V: O + O,
+    # or O + O plus torsion over 2; 784 Fitting minors of size 6
+    rng = random.Random(8)
+    U, V = _unimodular(rng, 8, 40), _unimodular(rng, 8, 40)
+    D = [[(torsion if i == 5 else 1) if i == j and i < 6 else 0 for j in range(8)] for i in range(8)]
+    UD = [[sum(U[i][t] * D[t][j] for t in range(8)) for j in range(8)] for i in range(8)]
+    phi = [[sum(UD[i][t] * V[t][j] for t in range(8)) for j in range(8)] for i in range(8)]
+    P = cokernel_presentation((0,) * 8, [(0, [Form.constant(phi[i][j]) for i in range(8)]) for j in range(8)])
+    if not ok:
+        with pytest.raises(NotLocallyFree):
+            bundle_handle(P, assume_saturated=True)
+        return
+    B = bundle_handle(P, assume_saturated=True)
+    assert type_profile(B).to_json() == {"generic": [0, 0], "jumps": {}}
 
 
 def test_rank_check_rejects_rank_one():

@@ -19,7 +19,7 @@ from arithsurf.exactlat import (
     span_lattice,
 )
 
-from oracles import cofactor_det, gauss_rank, oracle_kernel_basis, rank_mod_p
+from oracles import cofactor_det, determinantal_invariants, gauss_rank, oracle_kernel_basis, rank_mod_p
 
 
 def M(rows):
@@ -107,6 +107,36 @@ def test_smith_randomized_invariants(seed):
     for p in (2, 3, 5, 7, 11, 13):
         drop = rank_mod_p(rows, p) < len(invs)
         assert drop == (prod % p == 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_smith_matches_determinantal_divisors(seed):
+    rng = random.Random(900 + seed)
+    r, c = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[rng.choice((0, rng.randint(-12, 12))) for _ in range(c)] for _ in range(r)]
+    assert smith_invariants(M(rows)) == determinantal_invariants(rows)
+
+
+def test_smith_wide_sparse_matrix_stays_small():
+    # a 14 x 63 matrix like the degree pieces of Fitting minors; run on the
+    # raw matrix, the pivot loop blows its coefficients up and takes seconds
+    # to minutes on matrices of this kind
+    rng = random.Random(1)
+    rows = [[rng.randint(-60, 60) if rng.random() < 0.15 else 0 for _ in range(63)] for _ in range(14)]
+    rows[0] = [6 * x for x in rows[0]]
+    rows[5] = [10 * x for x in rows[5]]
+    A = M(rows)
+    hnf = LatticeBasis.from_vectors(14, A.columns_list())
+    assert hnf.rank == 14
+    det = 1
+    for j, col in enumerate(hnf.vectors()):
+        det *= col[j]
+    invs = smith_invariants(A)
+    assert len(invs) == 14
+    prod = 1
+    for d in invs:
+        prod *= d
+    assert prod == det > 1
 
 
 def test_rank_over_examples():

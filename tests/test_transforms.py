@@ -19,14 +19,16 @@ from arithsurf.errors import (
     NotSurjective,
     UnsupportedCenter,
 )
-from arithsurf.graded import Form, free_presentation, reduce_mod
+from arithsurf.graded import Form, form_gcd_degree_mod, free_presentation, reduce_mod
 from arithsurf.transforms import (
     BlowupFactorization,
     FiberQuotient,
     apply,
+    apply_full,
     blowup_factorization,
     default_surjection,
     prescribed_types,
+    restricted_quotient,
     validate_quotient,
 )
 
@@ -183,3 +185,67 @@ def test_fiber_quotient_json_round_trip():
     assert FiberQuotient.from_json(json.loads(json.dumps(q.to_json()))) == q
     general = FiberQuotient.make(3, 1, (Form.constant(2), Form.monomial(1, 1), Form.zero(-1)))
     assert FiberQuotient.from_json(json.loads(json.dumps(general.to_json()))) == general
+
+
+# ---------------------------------------------------------------------------
+# the closed form against the transformation chain
+
+
+def chained_prescribed_types(n, jumps):
+    """One apply_full per jump, each later surjection carried across it."""
+    handle = split_handle(-1, -n - 1)
+    pending = []
+    for item in jumps:
+        p, ni = item[:2]
+        q = default_surjection(p, n, ni) if len(item) == 2 else FiberQuotient.from_pair(p, ni - 1, *item[2])
+        pending.append(q)
+    while pending:
+        result = apply_full(handle, pending.pop(0))
+        pending = [restricted_quotient(result, q) for q in pending]
+        handle = result.handle
+    return handle
+
+
+def dense_surjection(rng, p, n, ni):
+    while True:
+        g = Form.make(ni, [rng.randrange(p) for _ in range(ni + 1)])
+        h = Form.make(ni + n, [rng.randrange(p) for _ in range(ni + n + 1)])
+        if g.coeffs[0] and h.coeffs[-1] and form_gcd_degree_mod(g, h, p) == 0:
+            return g, h
+
+
+# (n, ((p, height, dense surjection?), ...)): one to three jumps, equal and
+# distinct heights, dense surjections first, in the middle and last.  The
+# chain is slow on a dense surjection before other jumps at larger primes,
+# so those cases stay at primes up to 5.
+CHAIN_CASES = [
+    (0, ((3, 1, False),)),
+    (1, ((5, 2, True),)),
+    (2, ((2, 1, False), (3, 1, False))),
+    (3, ((2, 1, True),)),
+    (0, ((3, 2, True), (5, 1, False))),
+    (1, ((5, 1, False), (2, 1, True), (3, 1, False))),
+    (2, ((7, 1, False), (5, 2, True))),
+    (0, ((2, 1, True), (5, 1, True))),
+    (1, ((2, 2, False), (5, 2, False), (3, 1, True))),
+    (3, ((11, 1, False), (5, 1, False))),
+    (2, ((2, 2, True), (5, 1, False), (3, 1, False))),
+    (1, ((11, 1, False), (7, 3, False))),
+]
+
+
+@pytest.mark.parametrize("case", range(len(CHAIN_CASES)))
+def test_closed_form_matches_transformation_chain(case):
+    n, spec = CHAIN_CASES[case]
+    rng = random.Random(700 + case)
+    jumps = [(p, ni, dense_surjection(rng, p, n, ni)) if dense else (p, ni) for p, ni, dense in spec]
+    closed, chained = prescribed_types(n, jumps), chained_prescribed_types(n, jumps)
+    assert type_profile(closed) == type_profile(chained)
+    P, Q = closed.presentation, chained.presentation
+    assert sheaf_rank_degree(P) == sheaf_rank_degree(Q)
+    for R, S in [(P, Q)] + [(reduce_mod(P, p), reduce_mod(Q, p)) for p, _, _ in spec]:
+        for d in range(-n - 3, 3):
+            assert h0_dim(R, d) == h0_dim(S, d), (R.base, d)
+    heights = {ni for _, ni, _ in spec}
+    assert P.generators.rank == 2 + len(heights)
+    assert P.relations.rank == len(heights)
