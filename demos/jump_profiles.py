@@ -36,7 +36,7 @@ def main():
     print("=" * 64)
     print("split bundles have constant profiles")
     print("=" * 64)
-    show("O + O(-3):", bundle_handle(free_presentation((0, -3)), assume_saturated=True))
+    show("O + O(-3):", bundle_handle(free_presentation((0, -3))))
 
     print("=" * 64)
     print("prescribed jumps: generic type n, type n + 2*n_i at p_i")

@@ -1,8 +1,8 @@
 """Rank-2 bundle invariants on the projective line over the integers.
 
 A :class:`BundleHandle` wraps a verified locally-free rank-2 presentation
-E = coker(phi: F1 -> F0), re-presented from its section lattices on
-construction (the stored handle format).
+E = coker(phi: F1 -> F0), stored as given: every invariant below is read
+at the sheaf level, so no presentation is preferred.
 
 Splitting profiles are read off the dual.  Hom(-, O) is left exact, so
 E^v = ker(phi^T) exactly, over Q and on the fiber over every prime, and the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import h0_dim, resaturate, sheaf_rank_degree
+from .cohomology import h0_dim, sheaf_rank_degree
 from .errors import (
     IdentityViolation,
     NotLocallyFree,
@@ -133,7 +133,7 @@ class SplittingProfile:
 
 @dataclass(frozen=True)
 class BundleHandle:
-    """A verified rank-2 locally free sheaf with a saturated presentation."""
+    """A verified rank-2 locally free sheaf with the presentation it was given."""
 
     presentation: GradedPresentation
     rank: int
@@ -214,6 +214,9 @@ def _fitting_minors(phi: GradedMap) -> list[Form]:
 def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> BundleHandle:
     """Verify and wrap a presentation as a rank-2 bundle handle.
 
+    The handle stores ``P`` itself.  ``assume_saturated`` is accepted for
+    compatibility and ignored: there is one path whatever its value.
+
     Raises NotLocallyFree when the Hilbert function does not match a rank-2
     pattern or the (g-2)-minors share a zero somewhere over Z, and
     ProfileInconsistent when a type read off the dual fails its
@@ -227,10 +230,6 @@ def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> Bund
     minors = _fitting_minors(P.map)
     if not minors or row_onto_degree(minors, [-m.degree for m in minors], 0) is None:
         raise NotLocallyFree("the (g-2)-minors of the presentation share a zero")
-    if not assume_saturated:
-        P, _, _ = resaturate(P)
-        if sheaf_rank_degree(P) != (r, e):
-            raise NotLocallyFree("resaturation changed rank/degree; bad presentation")
     handle = BundleHandle(P, r, e)
     type_profile(handle)  # checks the generic and jump splitting patterns
     return handle

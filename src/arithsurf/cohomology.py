@@ -15,8 +15,8 @@ exact on the line, so there is a single stabilization code path to trust.
 The module also houses the section-lattice-to-presentation engine: given a
 window of section lattices with their multiplication maps, it extracts
 generators and syzygies degreewise and emits a cokernel presentation.  This
-is how kernel-defined sheaves (elementary transformations) are converted to
-the storage format.
+is how kernel-defined sheaves (elementary transformations) get a
+presentation.
 """
 
 from __future__ import annotations
@@ -600,30 +600,6 @@ def first_section_twist(P: GradedPresentation) -> int | None:
             return d
         d += 1
     return None
-
-
-def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLineage, SectionLatticeFamily]:
-    """Re-present a sheaf from its section lattices.
-
-    The result presents the same sheaf, with module pieces equal to the full
-    section lattices from the first section twist on, so sections can be
-    written against the generators directly.
-    """
-    d0 = first_section_twist(P)
-    if d0 is None:
-        raise NotLocallyFree("sheaf has no sections at any probe twist")
-    span = P.twist_span()
-    extra = 0
-    for _ in range(4):
-        window = (d0, d0 + span + window_guard() + 2 + extra)
-        family = lattice_family(P, window)
-        provider = provider_from_family(family)
-        try:
-            pres, lineage = presentation_from_sections(provider, P.base)
-            return pres, lineage, family
-        except WindowExhausted:
-            extra += 4
-    raise WindowExhausted("resaturation window kept growing without settling")
 
 
 def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> LatticeBasis:

@@ -4,7 +4,11 @@ A model with a section is cut out by  x0^n y0 + x1^n y1 + f(x0,x1) y2 = 0
 for a binary form f of degree n.  The three coefficient forms x0^n, x1^n, f
 have no common zero on any fiber, so the hypersurface is smooth over every
 prime unconditionally, and the associated rank-2 bundle is the cokernel of
-the single relation column (x0^n, x1^n, f).
+the single relation column (x0^n, x1^n, f).  Its handle stores exactly that
+presentation: three generators of twist 0 and one relation of twist -n.  So
+a fiber quotient of the bundle (``FiberQuotient``, ``--row`` on the command
+line) takes one form per generator, three forms of degree m for the target
+twist m, with (g0, g1, g2) . (x0^n, x1^n, f) = 0 mod p.
 
 The fiberwise Hirzebruch degrees of the model are the splitting types of
 that bundle; everything here delegates the bundle analysis and reports it in

@@ -520,7 +520,7 @@ def criterion_8(count: int = 50) -> CriterionResult:
     failures = []
     for trial in range(count):
         n = rng.randint(0, 2)
-        split = bundle_handle(free_presentation((-1, -n - 1)), assume_saturated=True)
+        split = bundle_handle(free_presentation((-1, -n - 1)))
         pre_jump = None
         p = rng.choice(primes)
         ni = rng.randint(1, 2)

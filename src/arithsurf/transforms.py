@@ -313,7 +313,7 @@ def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
         except WindowExhausted as exc:
             last = exc
             continue
-        handle = bundle_handle(pres, assume_saturated=True)
+        handle = bundle_handle(pres)
         _assert_transform_contract(B, handle, q)
         return TransformResult(B, handle, lineage, fam, q)
     raise last
@@ -412,7 +412,7 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
             raise DuplicatePrime(f"prime {p} listed twice")
         seen.add(p)
         specs.append((ni, q))
-    source = bundle_handle(free_presentation((-1, -n - 1)), assume_saturated=True)
+    source = bundle_handle(free_presentation((-1, -n - 1)))
     for _, q in specs:
         validate_quotient(source, q)
     if not specs:
@@ -433,7 +433,7 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
         for j, other in enumerate(heights):
             column.append(Form.constant(-prod(moduli)) if j == k else Form.zero(h - other))
         columns.append((-n - 1 - h, column))
-    handle = bundle_handle(cokernel_presentation(twists, columns), assume_saturated=True)
+    handle = bundle_handle(cokernel_presentation(twists, columns))
     expect = SplittingProfile(
         SplittingType(-n - 1, -1),
         tuple(sorted((q.p, SplittingType(-n - 1 - ni, ni - 1)) for ni, q in specs)),

@@ -4,12 +4,26 @@ Everything here deliberately avoids the production code paths: rational
 Gaussian elimination with Fraction arithmetic instead of integer echelon
 forms and cofactor determinants instead of Bareiss.  The brute-force
 global-section solver is ``arithsurf.selftest.oracle_h0``, shared with the
-acceptance criteria.
+acceptance criteria.  The one exception is ``resaturate`` at the end, a
+driver that feeds a presentation's own section lattices to the production
+sections -> presentation engine so the engine can be tested on its own.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
+
+from arithsurf.cohomology import (
+    GeneratorLineage,
+    SectionLatticeFamily,
+    first_section_twist,
+    lattice_family,
+    presentation_from_sections,
+    provider_from_family,
+    window_guard,
+)
+from arithsurf.errors import NotLocallyFree, WindowExhausted
+from arithsurf.graded import GradedPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +259,31 @@ def _mod_p_left_kernel(vectors, p):
     for i, pc in enumerate(piv):
         combo[pc] = (-a[i][fc]) % p
     return combo
+
+
+# ---------------------------------------------------------------------------
+# resaturation: the presentation engine on a sheaf's own section lattices
+
+
+def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLineage, SectionLatticeFamily]:
+    """Re-present a sheaf from its section lattices.
+
+    The result presents the same sheaf, with module pieces equal to the full
+    section lattices from the first section twist on, so sections can be
+    written against the generators directly.
+    """
+    d0 = first_section_twist(P)
+    if d0 is None:
+        raise NotLocallyFree("sheaf has no sections at any probe twist")
+    span = P.twist_span()
+    extra = 0
+    for _ in range(4):
+        window = (d0, d0 + span + window_guard() + 2 + extra)
+        family = lattice_family(P, window)
+        provider = provider_from_family(family)
+        try:
+            pres, lineage = presentation_from_sections(provider, P.base)
+            return pres, lineage, family
+        except WindowExhausted:
+            extra += 4
+    raise WindowExhausted("resaturation window kept growing without settling")

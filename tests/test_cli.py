@@ -74,6 +74,7 @@ def test_bundle_round_trip_through_file(tmp_path, capsys):
     code, doc2 = run_cli(capsys, "bundle", "profile", "--bundle", str(out))
     assert code == 0
     assert doc2["profile"] == doc["profile"]
+    assert doc2["bundle"]["id"] == doc["bundle"]["id"]
 
 
 @pytest.mark.parametrize(
@@ -137,6 +138,18 @@ def test_transform_apply_and_errors(capsys):
     )
     assert code == 2
     assert doc["error"] == "NotSurjective"
+
+
+def test_transform_apply_on_a_normal_form(capsys):
+    # one form per generator of coker(x0, x1, 0): the row kills the column,
+    # and the kernel 3*O(1) + O is again O(1) + O
+    code, doc = run_cli(
+        capsys, "transform", "apply", "-n", "1", "-f", "0",
+        "--prime", "3", "--twist", "1", "--row", "x1;-x0;0",
+    )
+    assert code == 0
+    assert doc["source"]["presentation"]["map"]["target_twists"] == [0, 0, 0]
+    assert doc["profile"] == {"generic": [0, 1], "jumps": {}}
 
 
 def test_transform_factorize(capsys):

@@ -9,7 +9,6 @@ from arithsurf.cohomology import (
     lattice_family,
     presentation_from_sections,
     provider_from_family,
-    resaturate,
     section_space,
     sheaf_rank_degree,
 )
@@ -26,6 +25,7 @@ from arithsurf.graded import (
     twist,
 )
 from arithsurf.selftest import oracle_h0
+from oracles import resaturate
 
 
 def normal_form_presentation(n, f):

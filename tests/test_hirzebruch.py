@@ -4,7 +4,7 @@ import pytest
 
 from arithsurf.bundles import SplittingType
 from arithsurf.cohomology import sheaf_rank_degree
-from arithsurf.graded import Form, reduce_mod
+from arithsurf.graded import Form, cokernel_presentation, reduce_mod
 from arithsurf.hirzebruch import (
     NormalForm,
     bundle_from_normal_form,
@@ -54,6 +54,15 @@ def test_bundle_from_normal_form_degree():
     for n in range(0, 4):
         B = bundle_from_normal_form(NormalForm.make(n, Form.zero(n)))
         assert (B.rank, B.degree) == (2, n)
+
+
+def test_bundle_from_normal_form_keeps_the_relation_column():
+    rng = random.Random(3)
+    for n in range(0, 4):
+        f = Form.make(n, [rng.randint(-9, 9) for _ in range(n + 1)])
+        column = (-n, [Form.monomial(n, 0), Form.monomial(n, n), f])
+        B = bundle_from_normal_form(NormalForm(n, f))
+        assert B.presentation == cokernel_presentation((0, 0, 0), [column])
 
 
 def test_profiles_of_small_normal_forms():
