@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CompositeModulus, schema_checked
-from .exactlat import IntegerMatrix, is_prime
+from .exactlat import IntegerMatrix, _echelon, is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +351,6 @@ def map_from_columns(target_twists, columns) -> GradedMap:
     return GradedMap(src, tgt, entries)
 
 
-@lru_cache(maxsize=None)
-def monomial_mult_matrix(var: int, e: int, s: int) -> IntegerMatrix:
-    """Multiplication by x_var^e from degree-s to degree-(s+e) monomials."""
-    if s < 0:
-        return IntegerMatrix.zero(max(0, s + e + 1), 0)
-    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
-    for k in range(s + 1):
-        rows[k + (e if var == 1 else 0)][k] = 1
-    return IntegerMatrix.from_rows(rows, cols=s + 1)
-
-
 def _mult_block(f: Form, s: int) -> list[list[int]]:
     # multiplication by f on degree-s monomials, target degree s + deg f
     e = f.degree
@@ -407,9 +396,10 @@ def degree_piece(phi: GradedMap, d: int) -> IntegerMatrix:
 class GradedPresentation:
     """A coherent sheaf on the projective line: sheafified cokernel of ``map``.
 
-    Kernel-defined sheaves are never stored; elementary-transformation
-    kernels are converted to cokernel presentations before they get here, so
-    reduction mod p is exact for the stored object.
+    Kernel-defined sheaves are never stored: an elementary transformation
+    writes its kernel down as a cokernel presentation in closed form
+    (``transforms.apply_full``), so reduction mod p is exact for the stored
+    object.
     """
 
     base: Ring
@@ -462,6 +452,63 @@ def structure_sheaf(base: Ring = ZZ) -> GradedPresentation:
 def cokernel_presentation(target_twists, columns, base: Ring = ZZ) -> GradedPresentation:
     """Cokernel of the map assembled from ``columns`` of (twist, forms)."""
     return GradedPresentation(base, map_from_columns(target_twists, columns))
+
+
+def minimize_presentation(P: GradedPresentation) -> tuple[GradedPresentation, tuple[int, ...]]:
+    """Drop the generators that a unit constant relation makes redundant.
+
+    A relation of twist t has constant entries on the generators of twist t.
+    When these entries at one such generator c have gcd 1, ``_echelon``
+    gives unimodular combinations of the relations of twist t, the first
+    with entry 1 at c, so that one writes c through the other generators.
+    The combinations replace the relations of twist t; the first is
+    subtracted from every other relation to clear c, and then c goes
+    together with it.  Repeats until no generator qualifies and drops
+    relations that became zero.  The cokernel is unchanged.
+
+    Returns the presentation and the indices of the surviving generators,
+    which keep their order and are not recombined.
+    """
+    twists = list(P.generators.twists)
+    keep = list(range(len(twists)))
+    cols = [
+        (r, [row[k] for row in P.map.entries]) for k, r in enumerate(P.relations.twists)
+    ]
+    while (found := _unit_relation(twists, cols)) is not None:
+        gen, block, trans = found
+        old = [cols[k][1] for k in block]
+        for k, coeffs in zip(block, trans):
+            col = [Form.zero(a - twists[gen]) for a in twists]
+            for c, rel in zip(coeffs, old):
+                if c:
+                    col = [x.add(f.scale(c)) for x, f in zip(col, rel)]
+            cols[k] = (twists[gen], col)
+        pivot = cols[block[0]][1]
+        for k, (s, col) in enumerate(cols):
+            f = col[gen]
+            if k != block[0] and not f.is_zero():
+                cols[k] = (s, [x.add(f.mul(y).scale(-1)) for x, y in zip(col, pivot)])
+        del cols[block[0]]
+        cols = [(s, col[:gen] + col[gen + 1 :]) for s, col in cols]
+        del twists[gen], keep[gen]
+    cols = [(s, col) for s, col in cols if not all(f.is_zero() for f in col)]
+    return cokernel_presentation(twists, cols, P.base), tuple(keep)
+
+
+def _unit_relation(twists, cols):
+    """(c, block, trans) for the first generator c that a relation can clear.
+
+    ``block`` lists the relations of twist twists[c] and ``trans`` is a
+    unimodular matrix whose first row combines them into a relation with
+    constant entry 1 at c; None when no generator qualifies.
+    """
+    for c, t in enumerate(twists):
+        block = [k for k, (r, _) in enumerate(cols) if r == t]
+        if block:
+            ech, _, trans = _echelon([[cols[k][1][c].coeffs[0]] for k in block], 1, transform=True)
+            if ech[0][0] == 1:
+                return c, block, trans
+    return None
 
 
 def reduce_mod(P: GradedPresentation, p: int) -> GradedPresentation:

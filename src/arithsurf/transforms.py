@@ -5,18 +5,28 @@ surjection onto a line bundle supported on the fiber over one prime:
 
     0 -> E' -> E -> (fiber) O(m) -> 0
 
-:func:`apply` computes the kernel degreewise on section lattices (it
-contains p*E automatically), then re-presents it through the
-generator/syzygy engine, so the result is an ordinary cokernel presentation
-and composes freely with everything else.  Only fiber-type centers are
-supported; horizontal ones are rejected.
+:func:`apply` writes the kernel down in closed form.  For E = coker(phi:
+F1 -> F0), F0 = O(a_1) + ... + O(a_g), and a row q of forms mod p, the
+preimage of E' in F0 is K0 = p F0 + (lifts s_j of the syzygies of q mod p),
+and E' = K0 / im phi.  The syzygies of a row without common zero on the
+fiber are free of rank g-1 (Hilbert-Burch); a scan over their degree pieces
+finds them below a stated bound.  K0 is generated by p e_i (twist a_i) and
+s_j (twist -d_j) with one relation p s_j - sum_i s_{j,i} (p e_i) = 0 per
+syzygy: in any relation the coefficients of the s_j vanish mod p, and
+subtracting multiples of these leaves a relation among the p e_i, which is
+zero.  Each column of phi lies in K0 and is written as
+sum_j l_j s_j + p u, with the l_j solved mod p and u divided out exactly.
+The result is an ordinary cokernel presentation, minimized by
+:func:`graded.minimize_presentation`, so it composes freely with everything
+else.  Only fiber-type centers are supported; horizontal ones are rejected.
 
-:func:`prescribed_types` needs no engine.  For E = O(-1) + O(-n-1) with
-generators e1, e2 and surjections (g_i, h_i) onto O_{F_{p_i}}(n_i - 1), let
-N = prod p_i and group the jumps by height: N_h = prod_{n_i = h} p_i, and
-G_h, H_h are the CRT lifts with G_h = g_i, H_h = h_i mod p_i.  The kernel is
-generated by N e1, N e2 and one (N/N_h) kappa_h per height, kappa_h =
-(H_h, -G_h) the Koszul syzygy, of twists -1, -n-1, -n-1-h.  Locally at p_i
+:func:`prescribed_types` writes several jumps down at once.  For
+E = O(-1) + O(-n-1) with generators e1, e2 and surjections (g_i, h_i) onto
+O_{F_{p_i}}(n_i - 1), let N = prod p_i and group the jumps by height:
+N_h = prod_{n_i = h} p_i, and G_h, H_h are the CRT lifts with G_h = g_i,
+H_h = h_i mod p_i.  The kernel is generated by N e1, N e2 and one
+(N/N_h) kappa_h per height, kappa_h = (H_h, -G_h) the Koszul syzygy, of
+twists -1, -n-1, -n-1-h.  Locally at p_i
 these are p E plus the lift of the only syzygy of the coprime pair mod p_i.
 The relations are free on one per height,
 
@@ -40,15 +50,6 @@ from .bundles import (
     splitting_type,
     type_profile,
 )
-from .cohomology import (
-    GeneratorLineage,
-    SectionLatticeFamily,
-    first_section_twist,
-    lattice_family,
-    presentation_from_sections,
-    provider_from_family,
-    window_guard,
-)
 from .errors import (
     CompositeModulus,
     DegreeMismatch,
@@ -56,24 +57,16 @@ from .errors import (
     NotSurjective,
     ProfileInconsistent,
     UnsupportedCenter,
-    WindowExhausted,
     schema_checked,
 )
-from .exactlat import (
-    IntegerMatrix,
-    LatticeBasis,
-    is_prime,
-    kernel_mod,
-    quotient_group_data,
-    rank_mod,
-    span_lattice,
-)
+from .exactlat import IntegerMatrix, is_prime, kernel_mod, rank_mod, rref_mod
 from .graded import (
     Form,
     GradedPresentation,
     cokernel_presentation,
     form_gcd_degree_mod,
     free_presentation,
+    minimize_presentation,
 )
 
 
@@ -217,59 +210,78 @@ def _fiber_map_matrix(P: GradedPresentation, q: FiberQuotient, d: int) -> Intege
 
 
 # ---------------------------------------------------------------------------
-# fiber images of sections
+# syzygies of the quotient row on the fiber
 
 
-def fiber_value(
-    P: GradedPresentation,
-    q: FiberQuotient,
-    d: int,
-    e: int,
-    vector,
-) -> tuple[int, ...]:
-    """Image of a pair-coordinate section of E(d) under q: a form of degree m+d.
-
-    The pair (u, v) satisfies q(u) = x0^e w and q(v) = x1^e w mod p for a
-    unique w, which is returned as its coefficient tuple (empty when m+d < 0).
-    """
-    gens = P.generators
-    fdims = gens.piece_dims(d + e)
-    f = sum(fdims)
-    u, v = vector[:f], vector[f:]
-    qu = _row_apply(q, gens.twists, fdims, d + e, u)
-    qv = _row_apply(q, gens.twists, fdims, d + e, v)
-    p = q.p
-    target = q.m + d
-    w = [0] * (target + 1) if target >= 0 else []
-    for j, c in enumerate(qu):
-        if j <= target:
-            w[j] = c % p
-        elif c % p:
-            raise ProfileInconsistent("pair image not divisible by x0^e")
-    for j, c in enumerate(qv):
-        if j < e:
-            if c % p:
-                raise ProfileInconsistent("pair image not divisible by x1^e")
-        elif (c - (w[j - e] if 0 <= j - e <= target else 0)) % p:
-            raise ProfileInconsistent("chart images of the section disagree")
-    return tuple(w)
+_X = (Form.monomial(1, 0), Form.monomial(1, 1))
 
 
-def _row_apply(q: FiberQuotient, twists, fdims, deg, coords):
-    """Apply the quotient row to a generator-piece coordinate vector."""
-    out_deg = q.m + deg
-    out = [0] * (out_deg + 1) if out_deg >= 0 else []
-    off = 0
-    for form, a, dim in zip(q.row, twists, fdims):
-        if dim > 0 and form.degree >= 0:
-            # coords[off+k] multiplies x0^(s-k) x1^k, s = a + deg
-            for k in range(dim):
-                c = coords[off + k]
-                if c:
-                    for t, fc in enumerate(form.coeffs):
-                        out[k + t] += c * fc
+def _coords(forms) -> list[int]:
+    """Coefficients of a generator-piece vector, generator by generator."""
+    return [c for f in forms for c in f.coeffs]
+
+
+def _forms(twists, d: int, vec) -> tuple[Form, ...]:
+    """Split a coordinate vector at twist d into one form per generator."""
+    out, off = [], 0
+    for a in twists:
+        dim = max(0, a + d + 1)
+        out.append(Form(a + d, tuple(vec[off : off + dim])))
         off += dim
-    return out
+    return tuple(out)
+
+
+def _row_syzygies(P: GradedPresentation, q: FiberQuotient) -> list[tuple[int, tuple[Form, ...]]]:
+    """Free basis of the syzygies of the row mod p, as (twist d, forms) pairs.
+
+    The row maps F0 = sum O(a_i) onto O_F(m), so its kernel on the fiber is
+    a bundle of rank g-1 and the module of syzygies is free (Hilbert-Burch):
+    exactly g-1 generators, at twists d_j >= -max(a_i) with
+    sum(d_j) = m - sum(a_i), hence each d_j <= m - sum(a_i) + (g-2) max(a_i).
+    Degree by degree the scan keeps the kernel vectors outside x0 K + x1 K,
+    K the kernel one twist lower, and stops once it holds g-1 of them.
+    """
+    twists = P.generators.twists
+    g, top = len(twists), max(twists)
+    bound = q.m - sum(twists) + (g - 2) * top
+    found: list[tuple[int, tuple[Form, ...]]] = []
+    below: list[tuple[Form, ...]] = []
+    for d in range(-top, bound + 1):
+        if len(found) == g - 1:
+            break
+        dim = P.generators.piece_dim(d)
+        kernel = [_forms(twists, d, v) for v in kernel_mod(_fiber_map_matrix(P, q, d), q.p)]
+        carried = [_coords(f.mul(x) for f in s) for s in below for x in _X]
+        span, _ = rref_mod(carried, dim, q.p)
+        for s in kernel:
+            grown, _ = rref_mod(span + [_coords(s)], dim, q.p)
+            if len(grown) > len(span):
+                span = grown
+                found.append((d, s))
+        below = kernel
+    if len(found) != g - 1:
+        raise ProfileInconsistent(
+            f"quotient row has {len(found)} syzygies up to twist {bound}, expected {g - 1}"
+        )
+    return found
+
+
+def _syzygy_coefficients(column, d: int, syz, p: int) -> list[Form]:
+    """Forms l_j of degree d - d_j with column = sum l_j s_j mod p."""
+    unknowns = [(j, b) for j, (dj, _) in enumerate(syz) for b in range(d - dj + 1)]
+    basis = [
+        _coords(f.mul(Form.monomial(d - syz[j][0], b)) for f in syz[j][1]) for j, b in unknowns
+    ]
+    rhs = _coords(column)
+    rows = [[v[t] for v in basis] + [rhs[t]] for t in range(len(rhs))]
+    ech, pivots = rref_mod(rows, len(basis) + 1, p)
+    if len(basis) in pivots:
+        raise ProfileInconsistent("a relation of the source does not lie in the kernel mod p")
+    coeffs = [[0] * max(0, d - dj + 1) for dj, _ in syz]
+    for row, c in zip(ech, pivots):
+        j, b = unknowns[c]
+        coeffs[j][b] = row[-1]
+    return [Form(d - dj, tuple(cs)) for (dj, _), cs in zip(syz, coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +290,15 @@ def _row_apply(q: FiberQuotient, twists, fdims, deg, coords):
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Kernel bundle plus the data needed to chain further transformations."""
+    """Kernel bundle plus the data needed to chain further transformations.
+
+    ``embedding[k]`` writes the k-th generator of the kernel's presentation
+    in the source's generators, one form per source generator.
+    """
 
     source: BundleHandle
     handle: BundleHandle
-    lineage: GeneratorLineage
-    family: SectionLatticeFamily
+    embedding: tuple[tuple[Form, ...], ...]
     quotient: FiberQuotient
 
 
@@ -293,74 +308,54 @@ def apply(B: BundleHandle, q: FiberQuotient) -> BundleHandle:
 
 
 def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
+    """Kernel of the fiber quotient in closed form (module docstring)."""
     validate_quotient(B, q)
-    P = B.presentation
-    d0 = first_section_twist(P)
-    if d0 is None:
-        raise ProfileInconsistent("bundle has no sections anywhere")
-    span = P.twist_span()
-    last = WindowExhausted("unreachable")
-    for extra in (0, 4, 8):
-        window = (d0, d0 + span + window_guard() + 2 + extra)
-        fam = lattice_family(P, window)
-
-        def restrict(d, K, Bv, _fam=fam):
-            return _kernel_piece(P, q, d, _fam.exponent, K)
-
-        provider = provider_from_family(fam, restrict)
-        try:
-            pres, lineage = presentation_from_sections(provider, P.base)
-        except WindowExhausted as exc:
-            last = exc
-            continue
-        handle = bundle_handle(pres)
-        _assert_transform_contract(B, handle, q)
-        return TransformResult(B, handle, lineage, fam, q)
-    raise last
+    P, p = B.presentation, q.p
+    twists = P.generators.twists
+    syz = _row_syzygies(P, q)
+    embedding = [
+        tuple(Form.constant(p) if i == k else Form.zero(a - b) for i, a in enumerate(twists))
+        for k, b in enumerate(twists)
+    ] + [s for _, s in syz]
+    columns = []
+    for j, (d, s) in enumerate(syz):
+        # p s_j - sum_i s_{j,i} (p e_i) = 0, twist -d_j
+        own = [Form.constant(p) if k == j else Form.zero(d - dk) for k, (dk, _) in enumerate(syz)]
+        columns.append((-d, [f.scale(-1) for f in s] + own))
+    for k, r in enumerate(P.relations.twists):
+        # phi_k = sum_j l_j s_j + p u, so phi_k = sum_j l_j s_j + sum_i u_i (p e_i)
+        column = [row[k] for row in P.map.entries]
+        lam = _syzygy_coefficients(column, -r, syz, p)
+        u = []
+        for i, f in enumerate(column):
+            for coeff, (_, s) in zip(lam, syz):
+                f = f.add(coeff.mul(s[i]).scale(-1))
+            if any(c % p for c in f.coeffs):
+                raise ProfileInconsistent("a relation of the source is not divisible by p")
+            u.append(f.map_coeffs(lambda c: c // p))
+        columns.append((r, u + lam))
+    gen_twists = twists + tuple(-d for d, _ in syz)
+    pres, keep = minimize_presentation(cokernel_presentation(gen_twists, columns))
+    handle = bundle_handle(pres)
+    _assert_transform_contract(B, handle, q)
+    return TransformResult(B, handle, tuple(embedding[k] for k in keep), q)
 
 
 def restricted_quotient(result: TransformResult, q: FiberQuotient) -> FiberQuotient:
     """Re-express a fiber quotient of the source against the kernel bundle.
 
     The kernel embeds in the source; composing with a quotient of the source
-    gives quotient data for the kernel, one form per new generator.  Away
-    from the transformation prime the composite stays surjective; in general
-    the caller's validation decides.
+    gives quotient data for the kernel, the row q times the embedding, one
+    form per new generator.  Away from the transformation prime the
+    composite stays surjective; in general the caller's validation decides.
     """
-    src = result.source.presentation
     row = []
-    for dg, vec in zip(result.lineage.degrees, result.lineage.vectors):
-        w = fiber_value(src, q, dg, result.family.exponent, vec)
-        deg = q.m + dg
-        row.append(Form(deg, w) if deg >= 0 else Form.zero(deg))
+    for column, t in zip(result.embedding, result.handle.presentation.generators.twists):
+        form = Form.zero(q.m - t)
+        for f, e in zip(q.row, column):
+            form = form.add(f.mul(e))
+        row.append(form)
     return FiberQuotient.make(q.p, q.m, row)
-
-
-def _kernel_piece(P, q, d, e, K: LatticeBasis) -> LatticeBasis:
-    """Sublattice of sections whose fiber image vanishes; contains p*K."""
-    vecs = K.vectors()
-    if not vecs:
-        return K
-    values = [fiber_value(P, q, d, e, v) for v in vecs]
-    target = len(values[0])
-    if target == 0:
-        return K
-    W = IntegerMatrix.from_rows(
-        [[values[j][t] for j in range(len(vecs))] for t in range(target)],
-        cols=len(vecs),
-    )
-    out = []
-    for c in kernel_mod(W, q.p):
-        acc = [0] * K.ambient
-        for j, cj in enumerate(c):
-            if cj:
-                vj = vecs[j]
-                for t in range(K.ambient):
-                    acc[t] += cj * vj[t]
-        out.append(tuple(acc))
-    for v in vecs:
-        out.append(tuple(q.p * x for x in v))
-    return span_lattice(K.ambient, out)
 
 
 def _assert_transform_contract(B: BundleHandle, out: BundleHandle, q: FiberQuotient):
@@ -565,7 +560,8 @@ def blowup_factorization(B: BundleHandle, q: FiberQuotient) -> BlowupFactorizati
         src_split,
         q.row,
     )
-    m_u = _kernel_quotient_degree(B, result)
+    # E'/pE = ker(E|_F -> O_F(m)) is a line bundle of degree deg E - m
+    m_u = B.degree - q.m
     center_U = CenterSection(
         q.p,
         m_u,
@@ -584,31 +580,3 @@ def blowup_factorization(B: BundleHandle, q: FiberQuotient) -> BlowupFactorizati
         type_profile(B),
         type_profile(out),
     )
-
-
-def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
-    """Degree of the line bundle E'/(p E) on the fiber, fitted degreewise.
-
-    The quotient lattices E'_d/(p E_d) become full line-bundle section
-    spaces once h^1 dies; the top window degrees are fitted and verified.
-    """
-    q, fam = result.quotient, result.family
-    P = B.presentation
-    dims = []
-    for d in range(fam.d_min, fam.d_max + 1):
-        piece = fam.piece(d)
-        kernel = _kernel_piece(P, q, d, fam.exponent, piece.K)
-        tvecs = [tuple(q.p * c for c in v) for v in piece.K.vectors()]
-        tvecs += piece.B.vectors()
-        _, orders = quotient_group_data(kernel.sum(piece.B), tvecs)
-        if any(o != 0 and o != q.p for o in orders):
-            raise ProfileInconsistent("kernel quotient is not an F_p space")
-        dims.append((d, sum(1 for o in orders if o == q.p)))
-    (d_top, dim_top) = dims[-1]
-    m_u = dim_top - d_top - 1
-    for d, dim in dims[-3:]:
-        if dim != m_u + d + 1:
-            raise ProfileInconsistent(
-                "kernel quotient does not match a line-bundle Hilbert function"
-            )
-    return m_u

@@ -4,26 +4,46 @@ Everything here deliberately avoids the production code paths: rational
 Gaussian elimination with Fraction arithmetic instead of integer echelon
 forms and cofactor determinants instead of Bareiss.  The brute-force
 global-section solver is ``arithsurf.selftest.oracle_h0``, shared with the
-acceptance criteria.  The one exception is ``resaturate`` at the end, a
-driver that feeds a presentation's own section lattices to the production
-sections -> presentation engine so the engine can be tested on its own.
+acceptance criteria.
+
+The exception is the section-lattice engine at the end.  It re-presents a
+kernel-defined sheaf from a window of its stabilized section lattices,
+extracting generators and syzygies degreewise, and stands as the reference
+for the closed forms of the package: ``resaturate`` feeds it a sheaf's own
+section lattices, and ``apply_full``/``restricted_quotient`` compute an
+elementary transformation through it, with the fitted
+``_kernel_quotient_degree`` as the reference for the blow-up record.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
+from arithsurf.bundles import BundleHandle, bundle_handle
 from arithsurf.cohomology import (
-    GeneratorLineage,
-    SectionLatticeFamily,
-    first_section_twist,
-    lattice_family,
-    presentation_from_sections,
-    provider_from_family,
+    FpSpan,
+    _pair_data,
+    h0_dim,
+    section_space,
+    sheaf_rank_degree,
+    shift_pair_vector,
     window_guard,
 )
-from arithsurf.errors import NotLocallyFree, WindowExhausted
-from arithsurf.graded import GradedPresentation
+from arithsurf.errors import NotLocallyFree, ProfileInconsistent, WindowExhausted
+from arithsurf.exactlat import (
+    IntegerMatrix,
+    LatticeBasis,
+    kernel_lattice,
+    kernel_mod,
+    quotient_group_data,
+    span_lattice,
+)
+from arithsurf.graded import Form, FreeGraded, GradedMap, GradedPresentation
+from arithsurf.transforms import FiberQuotient, _assert_transform_contract, validate_quotient
+
+Vec = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +282,319 @@ def _mod_p_left_kernel(vectors, p):
 
 
 # ---------------------------------------------------------------------------
+# the section-lattice engine: pair multiplication maps
+
+
+@lru_cache(maxsize=None)
+def monomial_mult_matrix(var: int, e: int, s: int) -> IntegerMatrix:
+    """Multiplication by x_var^e from degree-s to degree-(s+e) monomials."""
+    if s < 0:
+        return IntegerMatrix.zero(max(0, s + e + 1), 0)
+    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
+    for k in range(s + 1):
+        rows[k + (e if var == 1 else 0)][k] = 1
+    return IntegerMatrix.from_rows(rows, cols=s + 1)
+
+
+def pair_mult_matrix(P: GradedPresentation, d: int, e: int, var: int) -> IntegerMatrix:
+    """Multiplication by x_var on pair spaces: twist d -> d+1 at fixed e."""
+    gens = P.generators
+    fdims = gens.piece_dims(d + e)
+    f2dims = gens.piece_dims(d + 1 + e)
+    f, f2 = sum(fdims), sum(f2dims)
+    rows = [[0] * (2 * f) for _ in range(2 * f2)]
+    roff = coff = 0
+    for a, fd, fd2 in zip(gens.twists, fdims, f2dims):
+        s = a + d + e
+        if fd > 0 and fd2 > 0:
+            blk = monomial_mult_matrix(var, 1, s)
+            for r in range(fd2):
+                for c in range(fd):
+                    x = blk.at(r, c)
+                    if x:
+                        rows[roff + r][coff + c] = x
+                        rows[f2 + roff + r][f + coff + c] = x
+        roff += fd2
+        coff += fd
+    return IntegerMatrix.from_rows(rows, cols=2 * f)
+
+
+def pair_mult_vector(P: GradedPresentation, d: int, e: int, var: int, vec):
+    """Multiplication by x_var on a pair vector: twist d -> d+1 at fixed e."""
+    return shift_pair_vector(P, d, e, vec, var, var)
+
+
+# ---------------------------------------------------------------------------
+# lattice families over a window
+
+
+@dataclass(frozen=True)
+class FamilyPiece:
+    d: int
+    K: LatticeBasis | FpSpan
+    B: LatticeBasis | FpSpan
+    dim: int
+
+
+@dataclass(frozen=True)
+class SectionLatticeFamily:
+    """Window of section lattices H^0(M~(d)) with multiplication maps.
+
+    All pieces live at one common pair exponent so the multiplication maps
+    by x0 and x1 align; each lattice is the stabilized (full) section
+    lattice, i.e. saturated in the colimit sense: no finite-index defect.
+    """
+
+    presentation: GradedPresentation
+    d_min: int
+    d_max: int
+    exponent: int
+    pieces: tuple[FamilyPiece, ...]
+
+    def piece(self, d: int) -> FamilyPiece:
+        if not (self.d_min <= d <= self.d_max):
+            raise KeyError(f"twist {d} outside family window")
+        return self.pieces[d - self.d_min]
+
+    def mult_matrix(self, d: int, var: int) -> IntegerMatrix:
+        return pair_mult_matrix(self.presentation, d, self.exponent, var)
+
+    def mult_vec(self, d: int, var: int, vec):
+        return pair_mult_vector(self.presentation, d, self.exponent, var, vec)
+
+    def rank(self, d: int) -> int:
+        return self.piece(d).dim
+
+    def to_json(self) -> dict:
+        return {
+            "window": [self.d_min, self.d_max],
+            "exponent": self.exponent,
+            "pieces": [
+                {
+                    "twist": pc.d,
+                    "dim": pc.dim,
+                    "sections": [[str(c) for c in v] for v in pc.K.vectors()],
+                    "relations": [[str(c) for c in v] for v in pc.B.vectors()],
+                }
+                for pc in self.pieces
+            ],
+        }
+
+
+def lattice_family(P: GradedPresentation, window: tuple[int, int]) -> SectionLatticeFamily:
+    """Family of stabilized section lattices over ``window = (d_min, d_max)``."""
+    d_min, d_max = window
+    if d_min > d_max:
+        raise ValueError("empty window")
+    stab = [section_space(P, d) for d in range(d_min, d_max + 1)]
+    e_star = max(s.e for s in stab)
+    pieces = []
+    for s in stab:
+        cur = _pair_data(P, s.d, e_star)
+        if cur.dim != s.dim:
+            raise WindowExhausted(
+                f"pair space at twist {s.d} changed between exponents "
+                f"{s.e} and {e_star}"
+            )
+        pieces.append(FamilyPiece(s.d, cur.K, cur.B, cur.dim))
+    return SectionLatticeFamily(P, d_min, d_max, e_star, tuple(pieces))
+
+
+# ---------------------------------------------------------------------------
+# sections -> presentation engine
+
+
+@dataclass(frozen=True)
+class PieceProvider:
+    """Window of section lattices handed to the presentation engine.
+
+    ``lattices[i]`` is the pair (K, B) at twist ``d_min + i``; ``mult_vec``
+    applies multiplication by x0 or x1 to an ambient vector at a twist.
+    """
+
+    d_min: int
+    d_max: int
+    lattices: tuple[tuple[LatticeBasis, LatticeBasis], ...]
+    mult_vec: object
+
+    def piece(self, d: int) -> tuple[LatticeBasis, LatticeBasis]:
+        return self.lattices[d - self.d_min]
+
+
+@dataclass(frozen=True)
+class GeneratorLineage:
+    """Chosen module generators as explicit section vectors."""
+
+    degrees: tuple[int, ...]
+    vectors: tuple[Vec, ...]
+
+
+def presentation_from_sections(provider: PieceProvider, base) -> tuple[GradedPresentation, GeneratorLineage]:
+    """Extract generators and syzygies degreewise; emit a cokernel presentation.
+
+    New generators are needed at twist d exactly when multiplication from
+    twist d-1 fails to surject onto the section lattice (as groups, so
+    torsion cokernels count).  Syzygies are collected the same way in the
+    coefficient spaces.  The window must contain two consecutive clean
+    degrees for both scans past the last new generator; otherwise the
+    provider window was too small and WindowExhausted is raised.
+    """
+    d0, d1 = provider.d_min, provider.d_max
+    gens: list[tuple[int, Vec]] = []
+    gen_mono_vecs: list[dict[tuple[int, int], Vec]] = []
+    rels: list[tuple[int, list[tuple[int, ...]]]] = []
+
+    prev_K: LatticeBasis | None = None
+    prev_R: LatticeBasis | None = None
+    prev_rel_coords: list[tuple[int, int]] = []
+    clean_streak = 0
+    saw_generator = False
+
+    for d in range(d0, d1 + 1):
+        K, B = provider.piece(d)
+        ambient = K.ambient
+        # ----- generators
+        carried: list[Vec] = list(B.vectors())
+        if prev_K is not None:
+            for v in prev_K.vectors():
+                carried.append(provider.mult_vec(d - 1, 0, v))
+                carried.append(provider.mult_vec(d - 1, 1, v))
+        new_gens, _ = quotient_group_data(K, carried)
+        for v in new_gens:
+            gens.append((d, v))
+            gen_mono_vecs.append({(0, 0): v})
+            saw_generator = True
+        # push every generator's monomial table up to degree d
+        for (dg, _), table in zip(gens, gen_mono_vecs):
+            m = d - dg
+            if m <= 0:
+                continue
+            for (i, j) in [(m - j, j) for j in range(m + 1)]:
+                if (i, j) in table:
+                    continue
+                if i > 0 and (i - 1, j) in table:
+                    table[(i, j)] = provider.mult_vec(d - 1, 0, table[(i - 1, j)])
+                elif j > 0 and (i, j - 1) in table:
+                    table[(i, j)] = provider.mult_vec(d - 1, 1, table[(i, j - 1)])
+        # ----- syzygies among the generators at this degree
+        rel_coords: list[tuple[int, int]] = []  # (generator index, x1-exponent)
+        ev_cols: list[Vec] = []
+        for gidx, (dg, _) in enumerate(gens):
+            m = d - dg
+            if m < 0:
+                continue
+            table = gen_mono_vecs[gidx]
+            for j in range(m + 1):
+                rel_coords.append((gidx, j))
+                ev_cols.append(table[(m - j, j)])
+        R = _kernel_mod_span(ev_cols, B, ambient)
+        carried_rels: list[Vec] = []
+        if prev_R is not None:
+            index_map = {rc: i for i, rc in enumerate(rel_coords)}
+            for c in prev_R.vectors():
+                for var in (0, 1):
+                    pushed = [0] * len(rel_coords)
+                    ok = True
+                    for (gidx, j), coef in zip(prev_rel_coords, c):
+                        jj = j + (1 if var == 1 else 0)
+                        key = (gidx, jj)
+                        if coef and key not in index_map:
+                            ok = False
+                            break
+                        if key in index_map:
+                            pushed[index_map[key]] += coef
+                    if ok:
+                        carried_rels.append(tuple(pushed))
+        new_rels, _ = quotient_group_data(R, carried_rels)
+        for c in new_rels:
+            rels.append((d, [(rel_coords[i], c[i]) for i in range(len(c))]))
+        clean = not new_gens and not new_rels and saw_generator
+        clean_streak = clean_streak + 1 if clean else 0
+        prev_K, prev_R, prev_rel_coords = K, R, rel_coords
+    if not saw_generator:
+        # zero sheaf on the window: empty presentation
+        empty = FreeGraded(())
+        pres = GradedPresentation(base, GradedMap(empty, empty, ()))
+        return pres, GeneratorLineage((), ())
+    if clean_streak < 2:
+        raise WindowExhausted(
+            "generator/syzygy extraction did not settle inside the window"
+        )
+    gen_twists = tuple(-dg for dg, _ in gens)
+    columns = []
+    for dr, coeff_items in rels:
+        forms = []
+        for gidx, (dg, _) in enumerate(gens):
+            m = dr - dg
+            if m < 0:
+                forms.append(Form.zero(m))
+                continue
+            coeffs = [0] * (m + 1)
+            for (gi, j), c in coeff_items:
+                if gi == gidx:
+                    coeffs[j] = c
+            forms.append(Form(m, tuple(coeffs)))
+        columns.append((-dr, forms))
+    src = FreeGraded(tuple(t for t, _ in columns))
+    tgt = FreeGraded(gen_twists)
+    entries = tuple(
+        tuple(columns[j][1][i] for j in range(len(columns))) for i in range(tgt.rank)
+    )
+    pres = GradedPresentation(base, GradedMap(src, tgt, entries))
+    lineage = GeneratorLineage(tuple(dg for dg, _ in gens), tuple(v for _, v in gens))
+    return pres, lineage
+
+
+def provider_from_family(family: SectionLatticeFamily, restrict=None) -> PieceProvider:
+    """PieceProvider over a family window.
+
+    ``restrict`` may replace each section lattice by a sublattice (the kernel
+    of a fiber quotient, say); it receives ``(d, K, B)`` and must return a
+    lattice between B and K.
+    """
+    lats = []
+    for d in range(family.d_min, family.d_max + 1):
+        pc = family.piece(d)
+        K = pc.K if restrict is None else restrict(d, pc.K, pc.B)
+        lats.append((K, pc.B))
+    return PieceProvider(family.d_min, family.d_max, tuple(lats), family.mult_vec)
+
+
+def first_section_twist(P: GradedPresentation) -> int | None:
+    """Smallest twist with a nonzero section space, or None if none shows up.
+
+    The scan starts below -(|degree| + guard) where the generation bound
+    forces sections of any bundle quotient to be absent, and gives up one
+    guard past the twist span.
+    """
+    r, e = sheaf_rank_degree(P)
+    guard = 2 + max((abs(t) for t in P.all_twists()), default=0)
+    d = -(abs(e) + guard)
+    while d <= abs(e) + guard:
+        if h0_dim(P, d) > 0:
+            return d
+        d += 1
+    return None
+
+
+def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> LatticeBasis:
+    """Lattice { c : sum c_i columns_i lies in span(B) }."""
+    n = len(columns)
+    if n == 0:
+        return LatticeBasis.from_vectors(0, [])
+    bvecs = B.vectors()
+    rows = [
+        [columns[j][t] for j in range(n)] + [bv[t] for bv in bvecs]
+        for t in range(ambient)
+    ]
+    mat = IntegerMatrix.from_rows(rows, cols=n + len(bvecs))
+    kern = kernel_lattice(mat)
+    proj = [v[:n] for v in kern.vectors()]
+    lat = span_lattice(n, proj)
+    return lat
+
+
+# ---------------------------------------------------------------------------
 # resaturation: the presentation engine on a sheaf's own section lattices
 
 
@@ -287,3 +620,173 @@ def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLine
         except WindowExhausted:
             extra += 4
     raise WindowExhausted("resaturation window kept growing without settling")
+
+
+# ---------------------------------------------------------------------------
+# fiber images of sections
+
+
+def fiber_value(
+    P: GradedPresentation,
+    q: FiberQuotient,
+    d: int,
+    e: int,
+    vector,
+) -> tuple[int, ...]:
+    """Image of a pair-coordinate section of E(d) under q: a form of degree m+d.
+
+    The pair (u, v) satisfies q(u) = x0^e w and q(v) = x1^e w mod p for a
+    unique w, which is returned as its coefficient tuple (empty when m+d < 0).
+    """
+    gens = P.generators
+    fdims = gens.piece_dims(d + e)
+    f = sum(fdims)
+    u, v = vector[:f], vector[f:]
+    qu = _row_apply(q, gens.twists, fdims, d + e, u)
+    qv = _row_apply(q, gens.twists, fdims, d + e, v)
+    p = q.p
+    target = q.m + d
+    w = [0] * (target + 1) if target >= 0 else []
+    for j, c in enumerate(qu):
+        if j <= target:
+            w[j] = c % p
+        elif c % p:
+            raise ProfileInconsistent("pair image not divisible by x0^e")
+    for j, c in enumerate(qv):
+        if j < e:
+            if c % p:
+                raise ProfileInconsistent("pair image not divisible by x1^e")
+        elif (c - (w[j - e] if 0 <= j - e <= target else 0)) % p:
+            raise ProfileInconsistent("chart images of the section disagree")
+    return tuple(w)
+
+
+def _row_apply(q: FiberQuotient, twists, fdims, deg, coords):
+    """Apply the quotient row to a generator-piece coordinate vector."""
+    out_deg = q.m + deg
+    out = [0] * (out_deg + 1) if out_deg >= 0 else []
+    off = 0
+    for form, a, dim in zip(q.row, twists, fdims):
+        if dim > 0 and form.degree >= 0:
+            # coords[off+k] multiplies x0^(s-k) x1^k, s = a + deg
+            for k in range(dim):
+                c = coords[off + k]
+                if c:
+                    for t, fc in enumerate(form.coeffs):
+                        out[k + t] += c * fc
+        off += dim
+    return out
+
+
+# ---------------------------------------------------------------------------
+# apply through section lattices
+
+
+@dataclass(frozen=True)
+class TransformResult:
+    """Kernel bundle plus the data needed to chain further transformations."""
+
+    source: BundleHandle
+    handle: BundleHandle
+    lineage: GeneratorLineage
+    family: SectionLatticeFamily
+    quotient: FiberQuotient
+
+
+def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
+    validate_quotient(B, q)
+    P = B.presentation
+    d0 = first_section_twist(P)
+    if d0 is None:
+        raise ProfileInconsistent("bundle has no sections anywhere")
+    span = P.twist_span()
+    last = WindowExhausted("unreachable")
+    for extra in (0, 4, 8):
+        window = (d0, d0 + span + window_guard() + 2 + extra)
+        fam = lattice_family(P, window)
+
+        def restrict(d, K, Bv, _fam=fam):
+            return _kernel_piece(P, q, d, _fam.exponent, K)
+
+        provider = provider_from_family(fam, restrict)
+        try:
+            pres, lineage = presentation_from_sections(provider, P.base)
+        except WindowExhausted as exc:
+            last = exc
+            continue
+        handle = bundle_handle(pres)
+        _assert_transform_contract(B, handle, q)
+        return TransformResult(B, handle, lineage, fam, q)
+    raise last
+
+
+def restricted_quotient(result: TransformResult, q: FiberQuotient) -> FiberQuotient:
+    """Re-express a fiber quotient of the source against the kernel bundle.
+
+    The kernel embeds in the source; composing with a quotient of the source
+    gives quotient data for the kernel, one form per new generator.  Away
+    from the transformation prime the composite stays surjective; in general
+    the caller's validation decides.
+    """
+    src = result.source.presentation
+    row = []
+    for dg, vec in zip(result.lineage.degrees, result.lineage.vectors):
+        w = fiber_value(src, q, dg, result.family.exponent, vec)
+        deg = q.m + dg
+        row.append(Form(deg, w) if deg >= 0 else Form.zero(deg))
+    return FiberQuotient.make(q.p, q.m, row)
+
+
+def _kernel_piece(P, q, d, e, K: LatticeBasis) -> LatticeBasis:
+    """Sublattice of sections whose fiber image vanishes; contains p*K."""
+    vecs = K.vectors()
+    if not vecs:
+        return K
+    values = [fiber_value(P, q, d, e, v) for v in vecs]
+    target = len(values[0])
+    if target == 0:
+        return K
+    W = IntegerMatrix.from_rows(
+        [[values[j][t] for j in range(len(vecs))] for t in range(target)],
+        cols=len(vecs),
+    )
+    out = []
+    for c in kernel_mod(W, q.p):
+        acc = [0] * K.ambient
+        for j, cj in enumerate(c):
+            if cj:
+                vj = vecs[j]
+                for t in range(K.ambient):
+                    acc[t] += cj * vj[t]
+        out.append(tuple(acc))
+    for v in vecs:
+        out.append(tuple(q.p * x for x in v))
+    return span_lattice(K.ambient, out)
+
+
+def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
+    """Degree of the line bundle E'/(p E) on the fiber, fitted degreewise.
+
+    The quotient lattices E'_d/(p E_d) become full line-bundle section
+    spaces once h^1 dies; the top window degrees are fitted and verified.
+    """
+    q, fam = result.quotient, result.family
+    P = B.presentation
+    dims = []
+    for d in range(fam.d_min, fam.d_max + 1):
+        piece = fam.piece(d)
+        kernel = _kernel_piece(P, q, d, fam.exponent, piece.K)
+        tvecs = [tuple(q.p * c for c in v) for v in piece.K.vectors()]
+        tvecs += piece.B.vectors()
+        _, orders = quotient_group_data(kernel.sum(piece.B), tvecs)
+        if any(o != 0 and o != q.p for o in orders):
+            raise ProfileInconsistent("kernel quotient is not an F_p space")
+        dims.append((d, sum(1 for o in orders if o == q.p)))
+    (d_top, dim_top) = dims[-1]
+    m_u = dim_top - d_top - 1
+    for d, dim in dims[-3:]:
+        if dim != m_u + d + 1:
+            raise ProfileInconsistent(
+                "kernel quotient does not match a line-bundle Hilbert function"
+            )
+    return m_u

@@ -6,9 +6,6 @@ from arithsurf.cohomology import (
     h0,
     h0_dim,
     h1,
-    lattice_family,
-    presentation_from_sections,
-    provider_from_family,
     section_space,
     sheaf_rank_degree,
 )
@@ -25,7 +22,12 @@ from arithsurf.graded import (
     twist,
 )
 from arithsurf.selftest import oracle_h0
-from oracles import resaturate
+from oracles import (
+    lattice_family,
+    presentation_from_sections,
+    provider_from_family,
+    resaturate,
+)
 
 
 def normal_form_presentation(n, f):

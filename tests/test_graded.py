@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arithsurf.cohomology import h0_dim
 from arithsurf.errors import CompositeModulus
 from arithsurf.exactlat import IntegerMatrix
 from arithsurf.graded import (
@@ -18,6 +19,7 @@ from arithsurf.graded import (
     form_to_str,
     free_presentation,
     map_from_columns,
+    minimize_presentation,
     monomial_basis,
     parse_form,
     reduce_mod,
@@ -183,3 +185,22 @@ def test_presentation_json_round_trip():
     assert again == P
     P5 = reduce_mod(P, 5)
     assert GradedPresentation.from_json(P5.to_json()) == P5
+
+
+def test_minimize_drops_the_generator_of_a_unit_relation():
+    # relation A = -e1 + 2 e2 (twist 0) makes e1 redundant
+    P = cokernel_presentation(
+        (0, 0, 0, -1),
+        [
+            (0, [Form.zero(0), Form.constant(-1), Form.constant(2), Form.zero(-1)]),
+            (-2, [Form.monomial(2, 0), Form.monomial(2, 2), Form.monomial(2, 1), Form.make(1, (1, 1))]),
+        ],
+    )
+    Q, keep = minimize_presentation(P)
+    assert keep == (0, 2, 3)
+    assert Q.generators.twists == (0, 0, -1)
+    assert Q.relations.twists == (-2,)
+    for R, S in [(P, Q)] + [(reduce_mod(P, p), reduce_mod(Q, p)) for p in (2, 3, 5)]:
+        for d in range(-3, 4):
+            assert h0_dim(R, d) == h0_dim(S, d), (R.base, d)
+

@@ -19,18 +19,19 @@ from arithsurf.errors import (
     NotSurjective,
     UnsupportedCenter,
 )
+from arithsurf import transforms
 from arithsurf.graded import Form, form_gcd_degree_mod, free_presentation, reduce_mod
+from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
 from arithsurf.transforms import (
     BlowupFactorization,
     FiberQuotient,
     apply,
-    apply_full,
     blowup_factorization,
     default_surjection,
     prescribed_types,
-    restricted_quotient,
     validate_quotient,
 )
+from oracles import _kernel_quotient_degree, apply_full, restricted_quotient
 
 
 def split_handle(*twists):
@@ -249,3 +250,82 @@ def test_closed_form_matches_transformation_chain(case):
     heights = {ni for _, ni, _ in spec}
     assert P.generators.rank == 2 + len(heights)
     assert P.relations.rank == len(heights)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form apply against the section-lattice engine
+
+
+def normal_form_row(n, f, p, u, w, t):
+    """A row of degree n killing the column (x0^n, x1^n, f) of a normal form:
+    u (x1^n, -x0^n, 0) + w (f, 0, -x0^n) + t (0, f, -x1^n)."""
+    x0n, x1n = Form.monomial(n, 0), Form.monomial(n, n)
+    row = (
+        x1n.scale(u).add(f.scale(w)),
+        x0n.scale(-u).add(f.scale(t)),
+        x0n.scale(-w).add(x1n.scale(-t)),
+    )
+    return FiberQuotient.make(p, n, row)
+
+
+# ("split", n, p, height, dense surjection?, prior jumps): a source
+# O(-1) + O(-n-1), after the prior jumps (p, height) when given, applied and
+# carried across by the closed form.  ("normal", n, p, f, (u, w, t), ()):
+# the normal-form bundle of (n, f) with the row normal_form_row(..., u, w, t).
+APPLY_CASES = [
+    ("split", 0, 3, 1, False, ()),
+    ("split", 1, 5, 2, True, ()),
+    ("split", 2, 2, 1, True, ()),
+    ("split", 3, 7, 2, False, ()),
+    ("split", 3, 3, 1, True, ()),
+    ("split", 1, 11, 1, True, ()),
+    ("split", 0, 3, 1, False, ((2, 1),)),
+    ("split", 1, 5, 1, True, ((3, 2),)),
+    ("split", 2, 3, 2, False, ((5, 1), (2, 1))),
+    ("normal", 1, 5, (2, 3), (1, 1, 0), ()),
+    ("normal", 2, 3, (0, 6, 0), (1, 1, 2), ()),
+    ("normal", 3, 5, (1, 0, 2, 3), (1, 1, 1), ()),
+]
+
+
+def apply_case(case):
+    kind, n, p, a, b, prior = APPLY_CASES[case]
+    if kind == "normal":
+        B = bundle_from_normal_form(NormalForm.make(n, Form.make(n, a)))
+        return n, B, normal_form_row(n, Form.make(n, a), p, *b)
+    rng = random.Random(900 + case)
+    B = split_handle(-1, -n - 1)
+    q = FiberQuotient.from_pair(p, a - 1, *dense_surjection(rng, p, n, a)) if b else default_surjection(p, n, a)
+    pending = [default_surjection(p0, n, ni) for p0, ni in prior] + [q]
+    while len(pending) > 1:
+        result = transforms.apply_full(B, pending.pop(0))
+        B, pending = result.handle, [transforms.restricted_quotient(result, q) for q in pending]
+    return n, B, pending[0]
+
+
+@pytest.mark.parametrize("case", range(len(APPLY_CASES)))
+def test_closed_form_apply_matches_section_lattices(case):
+    n, B, q = apply_case(case)
+    closed, lattice = transforms.apply_full(B, q), apply_full(B, q)
+    assert type_profile(closed.handle) == type_profile(lattice.handle)
+    P, Q = closed.handle.presentation, lattice.handle.presentation
+    assert sheaf_rank_degree(P) == sheaf_rank_degree(Q)
+    for R, S in [(P, Q), (reduce_mod(P, q.p), reduce_mod(Q, q.p))]:
+        for d in range(-n - 3, 3):
+            assert h0_dim(R, d) == h0_dim(S, d), (R.base, d)
+    rec = blowup_factorization(B, q)
+    assert rec.center_U.quotient_degree == _kernel_quotient_degree(B, lattice)
+
+
+def test_six_chained_applies_stay_small():
+    n, jumps = 1, [(2, 1), (3, 2), (5, 1), (7, 2), (11, 1), (13, 2)]
+    handle = split_handle(-1, -n - 1)
+    pending = [default_surjection(p, n, ni) for p, ni in jumps]
+    for k in range(len(jumps)):
+        result = transforms.apply_full(handle, pending.pop(0))
+        pending = [transforms.restricted_quotient(result, q) for q in pending]
+        handle = result.handle
+        assert handle.presentation.generators.rank <= 4
+        expect = {"generic": n, **{p: n + 2 * ni for p, ni in jumps[: k + 1]}}
+        assert type_profile(handle).type_map() == expect
+
