@@ -2,8 +2,8 @@
 """General position over Z and the del Pezzo classification.
 
 Blowing up integer points of the plane keeps every fiber del Pezzo exactly
-when the points stay in general position modulo every prime: all the pair
-minors, triple determinants and sextuple conic determinants must be units.
+when the points stay in general position modulo every prime: the pair
+minors must have unit gcd and the triple determinants must be units.
 Four points is the ceiling; a fifth always collides modulo 2.
 """
 

@@ -29,7 +29,7 @@ from .bundles import (
     try_split_certificate,
     type_profile,
 )
-from .cohomology import h0, h0_dim, h1, sheaf_rank_degree
+from .cohomology import h0_dim, h1, sheaf_rank_degree
 from .delpezzo import (
     PointConfiguration,
     ProjectivePoint,

@@ -13,7 +13,9 @@ sections of E^v(d) are the kernel of the degree-d piece of phi^T:
 * the piece M of phi^T at a - 1 is injective over Q, and the number c_p of
   its Smith invariants divisible by p is h^0(E_p^v(a - 1)) = a - a_p.  So
   the jump primes are the prime divisors of the largest invariant and the
-  type at p is (a - c_p, b + c_p).
+  type at p is (a - c_p, b + c_p);
+* the type at any single prime p, as :func:`audit_splitting` reads it, has
+  a_p = the first twist d with ker(phi^T mod p)_d != 0, by the same rule.
 
 Every reported type is then checked against the Hilbert function of E from
 the independent pair engine of :mod:`cohomology`.  Before any of this,
@@ -41,6 +43,7 @@ from .exactlat import (
     LatticeBasis,
     kernel_lattice,
     prime_divisors,
+    rank_mod,
     rank_of,
     smith_invariants,
 )
@@ -239,35 +242,11 @@ def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> Bund
 # splitting types from the dual
 
 
-def _scan_guard(P: GradedPresentation) -> int:
-    return 2 + max((abs(t) for t in P.all_twists()), default=0)
-
-
 def _check_pattern(Q: GradedPresentation, st: SplittingType) -> None:
     """Pair-engine h^0 at twists -b-1 .. -b+3 must match the splitting type."""
     for d in range(-st.b - 1, -st.b + 4):
         if h0_dim(Q, d) != st.h0_at(d):
             raise ProfileInconsistent(f"h0 at twist {d} does not match splitting {st}")
-
-
-def _splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
-    """First-section scan with the pair engine, then the Hilbert-pattern check."""
-    guard = _scan_guard(Q)
-    d = -(abs(degree) + guard)
-    top = abs(degree) + guard + 1
-    while d <= top and h0_dim(Q, d) == 0:
-        d += 1
-    if d > top:
-        raise ProfileInconsistent("no sections found inside the scan range")
-    b = -d
-    a = degree - b
-    if a > b:
-        raise ProfileInconsistent(
-            f"sections first appear at twist {d}, inconsistent with degree {degree}"
-        )
-    st = SplittingType(a, b)
-    _check_pattern(Q, st)
-    return st
 
 
 def splitting_type(B: BundleHandle, at: int | None = None) -> SplittingType:
@@ -277,13 +256,15 @@ def splitting_type(B: BundleHandle, at: int | None = None) -> SplittingType:
         return prof.generic
     if at in prof.jump_map():
         return prof.jump_map()[at]
-    # honest audit for unlisted primes
-    return _splitting_scan(reduce_mod(B.presentation, at), B.degree)
+    return audit_splitting(B, at)
 
 
 def audit_splitting(B: BundleHandle, p: int) -> SplittingType:
-    """Splitting type at p by a direct scan, bypassing the cached profile."""
-    return _splitting_scan(reduce_mod(B.presentation, p), B.degree)
+    """Splitting type at p read off ker(phi^T mod p), bypassing the cached
+    profile, and checked against the pair engine on the fiber."""
+    st = _dual_type(B.presentation.map, B.degree, p)
+    _check_pattern(reduce_mod(B.presentation, p), st)
+    return st
 
 
 def _transpose(phi: GradedMap) -> GradedMap:
@@ -295,22 +276,28 @@ def _transpose(phi: GradedMap) -> GradedMap:
     )
 
 
-@lru_cache(maxsize=None)
-def _profile_cached(P: GradedPresentation, degree: int) -> SplittingProfile:
-    dual = _transpose(P.map)
+def _dual_type(phi: GradedMap, degree: int, p: int | None = None) -> SplittingType:
+    """(a, degree - a) with a the first twist where ker(phi^T)_a != 0, over Q
+    (``p`` None) or mod p."""
+    dual = _transpose(phi)
     # E^v is a subsheaf of F0^v, so it has no sections below the least
     # generator twist; a <= b bounds the scan from above.
-    for a in range(min(P.map.target.twists, default=degree), degree // 2 + 1):
+    for a in range(min(phi.target.twists, default=degree), degree // 2 + 1):
         piece = degree_piece(dual, a)
-        if rank_of(piece) < piece.cols:
-            break
-    else:
-        raise ProfileInconsistent(
-            f"the dual has no sections up to twist {degree // 2}; "
-            f"not a rank-2 bundle of degree {degree}"
-        )
-    generic = SplittingType(a, degree - a)
-    below = degree_piece(dual, a - 1)
+        if (rank_of(piece) if p is None else rank_mod(piece, p)) < piece.cols:
+            return SplittingType(a, degree - a)
+    where = "" if p is None else f" mod {p}"
+    raise ProfileInconsistent(
+        f"the dual has no sections{where} up to twist {degree // 2}; "
+        f"not a rank-2 bundle of degree {degree}"
+    )
+
+
+@lru_cache(maxsize=None)
+def _profile_cached(P: GradedPresentation, degree: int) -> SplittingProfile:
+    generic = _dual_type(P.map, degree)
+    a = generic.a
+    below = degree_piece(_transpose(P.map), a - 1)
     invariants = smith_invariants(below)
     if len(invariants) != below.cols:
         raise ProfileInconsistent(f"the dual has sections below twist {a}")
@@ -401,9 +388,10 @@ class SplitCertificate:
 def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
     """Split certificate for a constant profile, read off ker(phi^T)_a.
 
-    Returns None when the profile has jumps, and also when the first basis
-    vector of ker(phi^T)_a fails the onto check (inconclusive, never a
-    disproof).
+    Returns None when the profile has jumps.  The first basis vector of
+    ker(phi^T)_a is primitive, so it is nonzero mod every p, and a nonzero
+    section of O + O(a - b) vanishes nowhere: the onto check cannot fail on
+    a verified handle, and ProfileInconsistent is raised if it does.
     """
     prof = type_profile(B)
     if prof.jumps:
@@ -418,5 +406,5 @@ def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
         start += size
     N = row_onto_degree(row, phi.target.twists, a)
     if N is None:
-        return None
+        raise ProfileInconsistent(f"the dual section at twist {a} is not onto on every fiber")
     return SplitCertificate(prof.generic, tuple(row), N)

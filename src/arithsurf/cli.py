@@ -3,8 +3,7 @@
 Every run emits a single JSON document on stdout; diagnostics go to stderr.
 Exit status is 0 on success, 2 on domain errors (the error name travels in
 the document), and 1 on usage errors.  Identical requests produce
-byte-identical output: the only environment dependence is the stabilization
-guard, which is recorded in the meta header.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .hirzebruch import (
     equation,
     reduce_coefficients,
 )
-from .cohomology import window_guard
 from .selftest import run_acceptance
 from .transforms import (
     FiberQuotient,
@@ -53,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _meta() -> dict:
-    return {"tool": "arithsurf", "version": __version__, "window_guard": window_guard()}
+    return {"tool": "arithsurf", "version": __version__}
 
 
 def _emit(payload: dict) -> int:

@@ -6,11 +6,13 @@ elements with x1^e * u = x0^e * v, i.e. a homomorphism from the ideal
 (x0^e, x1^e) into M(d).  The pair spaces stabilize to H^0(M~(d)) as e grows;
 stabilization is accepted after two consecutive stable transitions (three
 equal dimensions with both induced maps identifying the section lattices),
-counted from the structural floor where every piece is live.  A hard cap
-derived from the presentation twists bounds the scan.
+counted from the structural floor where every piece is live.  A hard cap,
+the twist span plus |d| plus a fixed margin of 4, bounds the scan.
 
 h^1 is read off the Euler characteristic h^0 - h^1 = r(d+1) + e, which is
 exact on the line, so there is a single stabilization code path to trust.
+``h0_dim`` reports dimensions only; splitting types are read off the dual in
+``bundles``, and this engine is the independent check of each one.
 
 Sheaves defined as kernels are never re-presented here: elementary
 transformations write their kernel presentation down in closed form
@@ -19,7 +21,6 @@ transformations write their kernel presentation down in closed form
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,25 +30,12 @@ from .exactlat import (
     LatticeBasis,
     kernel_lattice,
     kernel_mod,
-    quotient_group_data,
     rref_mod,
     span_lattice,
 )
 from .graded import GradedPresentation, degree_piece
 
 Vec = tuple[int, ...]
-
-DEFAULT_GUARD = 4
-
-
-def window_guard() -> int:
-    """Stabilization guard; ARITHSURF_WINDOW_GUARD overrides the default."""
-    raw = os.environ.get("ARITHSURF_WINDOW_GUARD", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_GUARD
-    return value if value > 0 else DEFAULT_GUARD
 
 
 def stabilization_floor(P: GradedPresentation, d: int) -> int:
@@ -196,11 +184,11 @@ def _push_compatible(P: GradedPresentation, prev: PairSpace, cur: PairSpace) -> 
 
 
 @lru_cache(maxsize=None)
-def _section_space_cached(P: GradedPresentation, d: int, guard: int) -> PairSpace:
+def _section_space_cached(P: GradedPresentation, d: int) -> PairSpace:
     # Accept only after two consecutive stable transitions past the floor:
     # a single dimension plateau with one compatible step can still grow
     # afterwards (sections whose chart denominators need a larger exponent).
-    cap = max(P.twist_span() + abs(d), stabilization_floor(P, d)) + guard
+    cap = max(P.twist_span() + abs(d), stabilization_floor(P, d)) + 4
     prev = prev2 = None
     compat_prev = False
     for e in range(stabilization_floor(P, d), cap + 1):
@@ -220,61 +208,13 @@ def _section_space_cached(P: GradedPresentation, d: int, guard: int) -> PairSpac
 
 def section_space(P: GradedPresentation, d: int) -> PairSpace:
     """Stabilized pair space of sections of M~(d); cached."""
-    return _section_space_cached(P, d, window_guard())
-
-
-def h0(P: GradedPresentation, d: int = 0):
-    """Dimension (lattice rank over Z, vector space dimension over a field)
-    of H^0 of the presented sheaf twisted by d, with a section basis.
-
-    Returns ``(dim, basis)`` where ``basis`` holds pair-representation lifts
-    of a basis of the section space modulo relations.
-    """
-    space = section_space(P, d)
-    if P.base.kind == "GF":
-        basis = _fp_quotient_basis(space)
-    else:
-        gens, orders = quotient_group_data(space.K, _vectors_of(space.B))
-        basis = tuple(g for g, o in zip(gens, orders) if o == 0)
-    return space.dim, SectionBasis(d, space.e, 2 * space.f, tuple(basis))
+    return _section_space_cached(P, d)
 
 
 def h0_dim(P: GradedPresentation, d: int = 0) -> int:
+    """Dimension of H^0 of the presented sheaf twisted by d: a lattice rank
+    over Z, a vector space dimension over a field."""
     return section_space(P, d).dim
-
-
-def _vectors_of(span) -> list[Vec]:
-    return list(span.vectors())
-
-
-def _fp_quotient_basis(space: PairSpace) -> tuple[Vec, ...]:
-    p = space.B.p if isinstance(space.B, FpSpan) else 0
-    brows = [list(r) for r in space.B.vectors()]
-    out = []
-    for v in space.K.vectors():
-        cand = brows + [list(r) for r in out] + [list(v)]
-        rows, _ = rref_mod(cand, space.K.ambient, p)
-        if len(rows) > len(brows) + len(out):
-            out.append(v)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class SectionBasis:
-    """Lifted basis of a section space in pair coordinates."""
-
-    twist: int
-    exponent: int
-    ambient: int
-    vectors: tuple[Vec, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "twist": self.twist,
-            "exponent": self.exponent,
-            "ambient": self.ambient,
-            "vectors": [[str(c) for c in v] for v in self.vectors],
-        }
 
 
 # ---------------------------------------------------------------------------

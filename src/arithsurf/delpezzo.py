@@ -6,8 +6,10 @@ position modulo every prime; algebraically that is a unit-gcd / unit-
 determinant condition on minors, checked here without enumerating primes:
 
 * pairs: the gcd of the three 2x2 minors is 1,
-* triples: the 3x3 determinant is a unit,
-* sextuples: the 6x6 Veronese evaluation determinant is a unit.
+* triples: the 3x3 determinant is a unit.
+
+No conic condition on six points is needed, since six points never get past
+these two checks (see below).
 
 Failing verdicts always carry a concrete witness (the offending subset plus
 the prime divisors involved).  Configurations of up to four points in
@@ -112,7 +114,7 @@ class Witness:
     repeated point), in which case ``note`` says so.
     """
 
-    kind: str  # "pair" | "triple" | "sextuple"
+    kind: str  # "pair" | "triple"
     indices: tuple[int, ...]
     primes: tuple[int, ...]
     note: str
@@ -187,41 +189,13 @@ def no_three_collinear_everywhere(c: PointConfiguration) -> Verdict:
     return Verdict(not witnesses, tuple(witnesses))
 
 
-_VERONESE_EXPONENTS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-
-
-def _veronese_row(p: ProjectivePoint) -> list[int]:
-    x, y, z = p.coords()
-    return [x**a * y**b * z**c for (a, b, c) in _VERONESE_EXPONENTS]
-
-
-def no_six_on_conic_everywhere(c: PointConfiguration) -> Verdict:
-    """Every sextuple must have unit Veronese determinant (vacuous for r < 6)."""
-    witnesses = []
-    for idx in combinations(range(len(c)), 6):
-        det = determinant(
-            IntegerMatrix.from_rows([_veronese_row(c.points[i]) for i in idx])
-        )
-        if det == 0:
-            witnesses.append(Witness("sextuple", tuple(idx), (), "on a conic"))
-        elif abs(det) != 1:
-            witnesses.append(
-                Witness("sextuple", tuple(idx), tuple(prime_divisors(det)), "on a conic mod p")
-            )
-    return Verdict(not witnesses, tuple(witnesses))
-
-
 def general_position(c: PointConfiguration) -> Verdict:
-    """Conjunction of the pair, triple, and sextuple checks.
+    """Conjunction of the pair and triple checks.
 
     The verdict of the first failing check is returned with all of its
     witnesses, first one first.
     """
-    for check in (
-        pairwise_distinct_everywhere,
-        no_three_collinear_everywhere,
-        no_six_on_conic_everywhere,
-    ):
+    for check in (pairwise_distinct_everywhere, no_three_collinear_everywhere):
         verdict = check(c)
         if not verdict.ok:
             return verdict

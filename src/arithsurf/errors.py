@@ -85,7 +85,7 @@ class UnsupportedCenter(ArithsurfError):
 class NotGeneralPosition(ArithsurfError):
     """A point configuration failed a general-position check.
 
-    The offending witness (pair/triple/sextuple plus prime data) is attached.
+    The offending witness (pair/triple plus prime data) is attached.
     """
 
     def __init__(self, message: str, witness=None):

@@ -340,16 +340,6 @@ def span_lattice(ambient: int, vectors) -> LatticeBasis:
     return LatticeBasis.from_vectors(ambient, vectors)
 
 
-def saturation(L: LatticeBasis) -> LatticeBasis:
-    """Saturation Q-span(L) intersected with Z^n, via a double kernel."""
-    if L.rank == 0:
-        return L
-    ortho = kernel_lattice(L.matrix.transpose())
-    if ortho.rank == 0:
-        return LatticeBasis.from_vectors(L.ambient, IntegerMatrix.identity(L.ambient).columns_list())
-    return kernel_lattice(ortho.matrix.transpose())
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
@@ -427,114 +417,6 @@ def smith_invariants(M: IntegerMatrix) -> tuple[int, ...]:
         if e % d:
             raise ArithsurfError(f"invariant factor chain broken: {d} does not divide {e}")
     return tuple(out)
-
-
-def _smith_left_inverse(X: list[list[int]], k: int, l: int):
-    """Diagonalize a k x l matrix, tracking the inverse of the row transform.
-
-    Returns ``(diag, uinv)`` with ``U X V = D`` diagonal; ``diag`` lists the
-    k diagonal entries of D (zeros included) and ``uinv`` holds the columns
-    of U^{-1}: the row ops applied to X are mirrored as inverse column ops.
-    """
-    a = [list(row) for row in X]
-    uinv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def col_add(dst: int, src: int, q: int):
-        # right-multiply uinv by the inverse of the row operation just applied
-        for i in range(k):
-            uinv[i][dst] += q * uinv[i][src]
-
-    top = 0
-    while top < min(k, l):
-        bi = bj = -1
-        for i in range(top, k):
-            for j in range(top, l):
-                if a[i][j] != 0 and (bi < 0 or abs(a[i][j]) < abs(a[bi][bj])):
-                    bi, bj = i, j
-        if bi < 0:
-            break
-        if bi != top:
-            a[top], a[bi] = a[bi], a[top]
-            for row in uinv:
-                row[top], row[bi] = row[bi], row[top]
-        if bj != top:
-            for row in a:
-                row[top], row[bj] = row[bj], row[top]
-        while True:
-            again = False
-            for i in range(top + 1, k):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    if q:
-                        # a[i] -= q a[top]  has inverse  uinv[:,top] += q uinv[:,i]
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                        col_add(top, i, q)
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        for row in uinv:
-                            row[top], row[i] = row[i], row[top]
-                        again = True
-            if again:
-                continue
-            for j in range(top + 1, l):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        again = True
-            if not again:
-                break
-        piv = a[top][top]
-        offender = None
-        for i in range(top + 1, k):
-            for j in range(top + 1, l):
-                if a[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            # a[top] += a[offender]  has inverse  uinv[:,offender] -= uinv[:,top]
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
-            col_add(offender, top, -1)
-            continue
-        if piv < 0:
-            a[top] = [-x for x in a[top]]
-            for row in uinv:
-                row[top] = -row[top]
-        top += 1
-    diag = [a[i][i] if i < l else 0 for i in range(k)]
-    return diag, uinv
-
-
-def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int]]:
-    """Generators and cyclic orders of the quotient group span(S)/span(T).
-
-    ``T_vectors`` must lie inside S.  Returns ``(gens, orders)`` where the
-    quotient is the direct sum of Z/orders[i] (order 0 meaning Z) generated
-    by the classes of ``gens``; trivial factors are dropped.
-    """
-    k = S.rank
-    cols = [S.express(t) for t in T_vectors]
-    X = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
-    diag, uinv = _smith_left_inverse(X, k, len(cols))
-    gens: list[Vec] = []
-    orders: list[int] = []
-    basis = S.vectors()
-    for i, d in enumerate(diag):
-        if abs(d) == 1:
-            continue
-        # column i of U^{-1} holds S-basis coordinates; expand to ambient ones
-        vec = tuple(
-            sum(uinv[r][i] * basis[r][t] for r in range(k)) for t in range(S.ambient)
-        )
-        gens.append(vec)
-        orders.append(abs(d))
-    return gens, orders
 
 
 # ---------------------------------------------------------------------------

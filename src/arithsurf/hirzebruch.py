@@ -126,7 +126,7 @@ def degree_profile(nf: NormalForm) -> SplittingProfile:
 class ConstancyResult:
     """Outcome of the constant-degree certification of a normal form."""
 
-    status: str  # "certified" | "not-constant" | "inconclusive"
+    status: str  # "certified" | "not-constant"
     profile: SplittingProfile
     certificate: SplitCertificate | None
 
@@ -139,18 +139,15 @@ class ConstancyResult:
 
 
 def constancy_check(nf: NormalForm) -> ConstancyResult:
-    """Certify a constant-degree model as the split bundle, when possible.
+    """Certify a constant-degree model as the split bundle.
 
     A constant profile of degree n forces the split model F_n; the returned
     certificate carries a row of forms E -> O(a), read off the dual, that is
-    onto on every fiber.  A non-constant profile is refused, and a row that
-    fails the onto check is reported inconclusive.
+    onto on every fiber.  A non-constant profile is refused; a row that fails
+    the onto check raises ProfileInconsistent (see ``try_split_certificate``).
     """
     B = bundle_from_normal_form(nf)
     prof = type_profile(B)
     if prof.jumps:
         return ConstancyResult("not-constant", prof, None)
-    cert = try_split_certificate(B)
-    if cert is None:
-        return ConstancyResult("inconclusive", prof, None)
-    return ConstancyResult("certified", prof, cert)
+    return ConstancyResult("certified", prof, try_split_certificate(B))

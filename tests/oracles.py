@@ -6,13 +6,17 @@ forms and cofactor determinants instead of Bareiss.  The brute-force
 global-section solver is ``arithsurf.selftest.oracle_h0``, shared with the
 acceptance criteria.
 
-The exception is the section-lattice engine at the end.  It re-presents a
-kernel-defined sheaf from a window of its stabilized section lattices,
-extracting generators and syzygies degreewise, and stands as the reference
-for the closed forms of the package: ``resaturate`` feeds it a sheaf's own
+The exceptions are the two engines at the end.  The section-lattice engine
+re-presents a kernel-defined sheaf from a window of its stabilized section
+lattices, extracting generators and syzygies degreewise (with
+``quotient_group_data`` for the quotients), and stands as the reference for
+the closed forms of the package: ``resaturate`` feeds it a sheaf's own
 section lattices, and ``apply_full``/``restricted_quotient`` compute an
 elementary transformation through it, with the fitted
 ``_kernel_quotient_degree`` as the reference for the blow-up record.
+``splitting_scan`` finds a splitting type as the first twist with sections
+in the pair engine, the reference for the types that ``bundles`` reads off
+the dual.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
-from arithsurf.bundles import BundleHandle, bundle_handle
+from arithsurf.bundles import BundleHandle, SplittingType, _check_pattern, bundle_handle
 from arithsurf.cohomology import (
     FpSpan,
     _pair_data,
@@ -29,7 +33,6 @@ from arithsurf.cohomology import (
     section_space,
     sheaf_rank_degree,
     shift_pair_vector,
-    window_guard,
 )
 from arithsurf.errors import NotLocallyFree, ProfileInconsistent, WindowExhausted
 from arithsurf.exactlat import (
@@ -37,13 +40,15 @@ from arithsurf.exactlat import (
     LatticeBasis,
     kernel_lattice,
     kernel_mod,
-    quotient_group_data,
     span_lattice,
 )
 from arithsurf.graded import Form, FreeGraded, GradedMap, GradedPresentation
 from arithsurf.transforms import FiberQuotient, _assert_transform_contract, validate_quotient
 
 Vec = tuple[int, ...]
+
+# Margin added to the section-lattice windows below.
+WINDOW_GUARD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +406,118 @@ def lattice_family(P: GradedPresentation, window: tuple[int, int]) -> SectionLat
 
 
 # ---------------------------------------------------------------------------
+# quotient groups of lattices by Smith diagonalization
+
+
+def _smith_left_inverse(X: list[list[int]], k: int, l: int):
+    """Diagonalize a k x l matrix, tracking the inverse of the row transform.
+
+    Returns ``(diag, uinv)`` with ``U X V = D`` diagonal; ``diag`` lists the
+    k diagonal entries of D (zeros included) and ``uinv`` holds the columns
+    of U^{-1}: the row ops applied to X are mirrored as inverse column ops.
+    """
+    a = [list(row) for row in X]
+    uinv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def col_add(dst: int, src: int, q: int):
+        # right-multiply uinv by the inverse of the row operation just applied
+        for i in range(k):
+            uinv[i][dst] += q * uinv[i][src]
+
+    top = 0
+    while top < min(k, l):
+        bi = bj = -1
+        for i in range(top, k):
+            for j in range(top, l):
+                if a[i][j] != 0 and (bi < 0 or abs(a[i][j]) < abs(a[bi][bj])):
+                    bi, bj = i, j
+        if bi < 0:
+            break
+        if bi != top:
+            a[top], a[bi] = a[bi], a[top]
+            for row in uinv:
+                row[top], row[bi] = row[bi], row[top]
+        if bj != top:
+            for row in a:
+                row[top], row[bj] = row[bj], row[top]
+        while True:
+            again = False
+            for i in range(top + 1, k):
+                if a[i][top] != 0:
+                    q = a[i][top] // a[top][top]
+                    if q:
+                        # a[i] -= q a[top]  has inverse  uinv[:,top] += q uinv[:,i]
+                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
+                        col_add(top, i, q)
+                    if a[i][top] != 0:
+                        a[top], a[i] = a[i], a[top]
+                        for row in uinv:
+                            row[top], row[i] = row[i], row[top]
+                        again = True
+            if again:
+                continue
+            for j in range(top + 1, l):
+                if a[top][j] != 0:
+                    q = a[top][j] // a[top][top]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[top]
+                    if a[top][j] != 0:
+                        for row in a:
+                            row[top], row[j] = row[j], row[top]
+                        again = True
+            if not again:
+                break
+        piv = a[top][top]
+        offender = None
+        for i in range(top + 1, k):
+            for j in range(top + 1, l):
+                if a[i][j] % piv:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # a[top] += a[offender]  has inverse  uinv[:,offender] -= uinv[:,top]
+            a[top] = [x + y for x, y in zip(a[top], a[offender])]
+            col_add(offender, top, -1)
+            continue
+        if piv < 0:
+            a[top] = [-x for x in a[top]]
+            for row in uinv:
+                row[top] = -row[top]
+        top += 1
+    diag = [a[i][i] if i < l else 0 for i in range(k)]
+    return diag, uinv
+
+
+def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int]]:
+    """Generators and cyclic orders of the quotient group span(S)/span(T).
+
+    ``T_vectors`` must lie inside S.  Returns ``(gens, orders)`` where the
+    quotient is the direct sum of Z/orders[i] (order 0 meaning Z) generated
+    by the classes of ``gens``; trivial factors are dropped.
+    """
+    k = S.rank
+    cols = [S.express(t) for t in T_vectors]
+    X = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
+    diag, uinv = _smith_left_inverse(X, k, len(cols))
+    gens: list[Vec] = []
+    orders: list[int] = []
+    basis = S.vectors()
+    for i, d in enumerate(diag):
+        if abs(d) == 1:
+            continue
+        # column i of U^{-1} holds S-basis coordinates; expand to ambient ones
+        vec = tuple(
+            sum(uinv[r][i] * basis[r][t] for r in range(k)) for t in range(S.ambient)
+        )
+        gens.append(vec)
+        orders.append(abs(d))
+    return gens, orders
+
+
+# ---------------------------------------------------------------------------
 # sections -> presentation engine
 
 
@@ -611,7 +728,7 @@ def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLine
     span = P.twist_span()
     extra = 0
     for _ in range(4):
-        window = (d0, d0 + span + window_guard() + 2 + extra)
+        window = (d0, d0 + span + WINDOW_GUARD + 2 + extra)
         family = lattice_family(P, window)
         provider = provider_from_family(family)
         try:
@@ -702,7 +819,7 @@ def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
     span = P.twist_span()
     last = WindowExhausted("unreachable")
     for extra in (0, 4, 8):
-        window = (d0, d0 + span + window_guard() + 2 + extra)
+        window = (d0, d0 + span + WINDOW_GUARD + 2 + extra)
         fam = lattice_family(P, window)
 
         def restrict(d, K, Bv, _fam=fam):
@@ -790,3 +907,31 @@ def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
                 "kernel quotient does not match a line-bundle Hilbert function"
             )
     return m_u
+
+
+# ---------------------------------------------------------------------------
+# splitting types by a first-section scan with the pair engine
+
+
+def scan_guard(P: GradedPresentation) -> int:
+    return 2 + max((abs(t) for t in P.all_twists()), default=0)
+
+
+def splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
+    """First-section scan with the pair engine, then the Hilbert-pattern check."""
+    guard = scan_guard(Q)
+    d = -(abs(degree) + guard)
+    top = abs(degree) + guard + 1
+    while d <= top and h0_dim(Q, d) == 0:
+        d += 1
+    if d > top:
+        raise ProfileInconsistent("no sections found inside the scan range")
+    b = -d
+    a = degree - b
+    if a > b:
+        raise ProfileInconsistent(
+            f"sections first appear at twist {d}, inconsistent with degree {degree}"
+        )
+    st = SplittingType(a, b)
+    _check_pattern(Q, st)
+    return st

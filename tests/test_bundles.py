@@ -33,7 +33,7 @@ from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
 from arithsurf.selftest import oracle_splitting
 from arithsurf.transforms import prescribed_types
 
-from oracles import leibniz_minors
+from oracles import leibniz_minors, splitting_scan
 
 
 def nf_presentation(n, f):
@@ -281,7 +281,8 @@ PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
 def assert_profile_matches_pair_engine(B):
     prof = type_profile(B)
     for p in sorted(set(PRIMES_TO_50) | set(prof.jump_map())):
-        assert audit_splitting(B, p) == prof.at(p), (p, prof.to_json())
+        scanned = splitting_scan(reduce_mod(B.presentation, p), B.degree)
+        assert audit_splitting(B, p) == prof.at(p) == scanned, (p, prof.to_json())
 
 
 def random_dense_surjection(rng, p, n, ni):
@@ -326,3 +327,24 @@ def test_dual_profile_matches_pair_engine_dense_prescribed(seed):
     B = prescribed_types(n, jumps)
     assert type_profile(B).type_map() == {"generic": n, **{j[0]: n + 2 * j[1] for j in jumps}}
     assert_profile_matches_pair_engine(B)
+
+
+@pytest.mark.parametrize("extra", ["zero", "repeated"])
+@pytest.mark.parametrize("n, coeffs", [(1, (3, 7)), (2, (0, 6, 0)), (3, (0, 10, 1, 0))])
+def test_dual_profile_matches_pair_engine_redundant_relation_columns(n, coeffs, extra):
+    # a zero column adds a zero row to phi^T; a repeated one a duplicate row
+    f = Form.make(n, coeffs)
+    column = (-n, [Form.monomial(n, 0), Form.monomial(n, n), f])
+    second = (-n - 1, [Form.zero(n + 1)] * 3) if extra == "zero" else column
+    B = bundle_handle(cokernel_presentation((0, 0, 0), [column, second]))
+    assert type_profile(B) == type_profile(bundle_from_normal_form(NormalForm(n, f)))
+    assert_profile_matches_pair_engine(B)
+
+
+@pytest.mark.parametrize("t", [-2, -4])
+def test_dual_profile_matches_pair_engine_negative_degree(t):
+    for B in (bundle_handle(nf_presentation(2, Form.make(2, (0, 6, 0)))), prescribed_types(1, [(5, 1)])):
+        Bt = bundle_handle(twist_presentation(B.presentation, t))
+        assert Bt.degree == B.degree + 2 * t < 0
+        assert type_profile(Bt) == type_profile(B).shifted(t)
+        assert_profile_matches_pair_engine(Bt)

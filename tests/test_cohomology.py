@@ -3,7 +3,6 @@ import random
 import pytest
 
 from arithsurf.cohomology import (
-    h0,
     h0_dim,
     h1,
     section_space,
@@ -58,13 +57,6 @@ def test_h0_split_general():
     for d in range(-4, 4):
         expect = sum(max(0, a + d + 1) for a in (0, -2, 3))
         assert h0_dim(P, d) == expect
-
-
-def test_h0_returns_basis_of_right_size():
-    P = free_presentation((0, 0))
-    dim, basis = h0(P, 1)
-    assert dim == 4
-    assert len(basis.vectors) == 4
 
 
 def test_h0_of_non_saturated_cokernel():

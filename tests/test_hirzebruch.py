@@ -1,9 +1,13 @@
+import json
 import random
 
 import pytest
 
+from arithsurf import bundles
 from arithsurf.bundles import SplittingType
+from arithsurf.cli import main
 from arithsurf.cohomology import sheaf_rank_degree
+from arithsurf.errors import ProfileInconsistent
 from arithsurf.graded import Form, cokernel_presentation, reduce_mod
 from arithsurf.hirzebruch import (
     NormalForm,
@@ -123,6 +127,22 @@ def test_constancy_check():
     assert res.status == "not-constant"
     res = constancy_check(NormalForm.make(0, "0"))
     assert res.status == "certified"
+
+
+def test_a_certificate_row_that_is_not_onto_is_an_error(monkeypatch, capsys):
+    # refuse the certificate row, which sits on the twist-0 generators of
+    # coker(x0, x1, 0); the Fitting-minor check of bundle_handle passes
+    # minus the minor degrees as twists and keeps its answer
+    onto = bundles.row_onto_degree
+    monkeypatch.setattr(
+        bundles,
+        "row_onto_degree",
+        lambda row, twists, a: None if tuple(twists) == (0, 0, 0) else onto(row, twists, a),
+    )
+    with pytest.raises(ProfileInconsistent):
+        constancy_check(NormalForm.make(1, "0"))
+    assert main(["surface", "normal-form", "-n", "1", "--certify"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ProfileInconsistent"
 
 
 def test_normal_form_validation():

@@ -1,0 +1,44 @@
+"""The runtime imports only the standard library and reads no environment.
+
+Every module of the package is parsed, not imported, so the check also
+covers imports that sit inside functions.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "arithsurf").glob("*.py"))
+
+
+def _violations(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [] if node.level else [node.module]
+            if node.module == "os":
+                found += [f"from os import {a.name}" for a in node.names if a.name in ("environ", "getenv")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+            continue
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: import {name}"
+            for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_sources_found():
+    assert any(path.name == "__init__.py" for path in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_stdlib_only_and_no_environment_reads(path):
+    assert _violations(ast.parse(path.read_text(), str(path))) == []
