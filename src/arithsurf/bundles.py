@@ -220,8 +220,8 @@ def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> Bund
     The handle stores ``P`` itself.  ``assume_saturated`` is accepted for
     compatibility and ignored: there is one path whatever its value.
 
-    Raises NotLocallyFree when the Hilbert function does not match a rank-2
-    pattern or the (g-2)-minors share a zero somewhere over Z, and
+    Raises NotLocallyFree when the rank read off the resolution twists is
+    not 2 or the (g-2)-minors share a zero somewhere over Z, and
     ProfileInconsistent when a type read off the dual fails its
     Hilbert-pattern check.
     """

@@ -9,10 +9,14 @@ equal dimensions with both induced maps identifying the section lattices),
 counted from the structural floor where every piece is live.  A hard cap,
 the twist span plus |d| plus a fixed margin of 4, bounds the scan.
 
-h^1 is read off the Euler characteristic h^0 - h^1 = r(d+1) + e, which is
-exact on the line, so there is a single stabilization code path to trust.
-``h0_dim`` reports dimensions only; splitting types are read off the dual in
-``bundles``, and this engine is the independent check of each one.
+Rank and degree are not read from sections: ker(phi) is a free module on
+the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
+three known layers of twists, and ``sheaf_rank_degree`` reads the rank, the
+degree and with them the Euler characteristic chi(M~(d)) = r(d+1) + e off
+those twists.  h^1 is h^0 - chi, so h^0 stays the single stabilization code
+path to trust.  ``h0_dim`` reports dimensions only; splitting types are read
+off the dual in ``bundles``, and this engine is the independent check of
+each one.
 
 Sheaves defined as kernels are never re-presented here: elementary
 transformations write their kernel presentation down in closed form
@@ -30,6 +34,8 @@ from .exactlat import (
     LatticeBasis,
     kernel_lattice,
     kernel_mod,
+    rank_mod,
+    rank_of,
     rref_mod,
     span_lattice,
 )
@@ -221,30 +227,49 @@ def h0_dim(P: GradedPresentation, d: int = 0) -> int:
 # rank, degree, h1
 
 
-@lru_cache(maxsize=None)
 def sheaf_rank_degree(P: GradedPresentation) -> tuple[int, int]:
-    """Rank and degree of the presented sheaf, assumed locally free.
+    """Rank and degree of the presented sheaf, read off its free resolution.
 
-    The rank is the slope of the Hilbert function h^0(d) at large twists and
-    the degree comes from Riemann-Roch h^0(d) = r(d+1) + e there.  The probe
-    twist is deterministic: the twist span plus 2, offset so that every
-    generator summand already has sections; it steps forward while the
-    pattern check fails, up to three attempts.
+    With F0 = sum O(a_i) (g generators), F1 = sum O(r_j) (s relations) and
+    F2 = ker(phi) = sum O(f_k), free on the line (Eisenbud, The Geometry of
+    Syzygies, GTM 229), the rank is g - s + #F2 and the degree is
+    sum a_i - sum r_j + sum f_k; the degree includes the length of any
+    torsion, as the Hilbert polynomial r(d+1) + e does.
+
+    Every f_k is at most max r_j, and at least
+    L = sum r_j - U - (s-1) max(0, max r_j), where U = sum max(0, a_i)
+    bounds the degree of every subsheaf of F0, so the image of phi.  So
+    every summand of F2 has sections in degree -L, and one rank of the
+    degree -L piece of phi decides whether F2 = 0, which it is for every
+    bundle the package builds.  Otherwise the twist -e occurs in F2 exactly
+    k(e) - 2k(e-1) + k(e-2) times, with k(e) = dim ker(phi_e).  Over Z the
+    ranks are taken over Q.
     """
-    span = P.twist_span()
-    top = max(P.all_twists(), default=0)
-    D = span + 2 + max(0, -top)
-    for _ in range(3):
-        vals = [h0_dim(P, D), h0_dim(P, D + 1), h0_dim(P, D + 2)]
-        r = vals[1] - vals[0]
-        if vals[2] - vals[1] == r and r >= 0:
-            return r, vals[0] - r * (D + 1)
-        D += span + 2
-    raise NotLocallyFree("Hilbert function does not match a bundle pattern")
+    gens, rels = P.generators.twists, P.relations.twists
+    rank, degree = len(gens) - len(rels), sum(gens) - sum(rels)
+    if not rels:
+        return rank, degree
+    top = max(rels)
+    low = sum(rels) - sum(max(0, a) for a in gens) - (len(rels) - 1) * max(0, top)
+
+    def kernel_dim(e: int) -> int:
+        piece = degree_piece(P.map, e)
+        full = rank_mod(piece, P.base.char) if P.base.kind == "GF" else rank_of(piece)
+        return piece.cols - full
+
+    if kernel_dim(-low) == 0:
+        return rank, degree
+    k = [kernel_dim(e) for e in range(-top - 2, -low + 1)]
+    for e, (k_2, k_1, k_0) in enumerate(zip(k, k[1:], k[2:]), start=-top):
+        count = k_0 - 2 * k_1 + k_2  # summands O(-e) of F2
+        rank += count
+        degree -= count * e
+    return rank, degree
 
 
 def h1(P: GradedPresentation, d: int = 0) -> int:
-    """h^1 via the Euler characteristic h^0 - h^1 = r(d+1) + e."""
+    """h^1 = h^0 - chi, with chi(M~(d)) = r(d+1) + e from the rank and degree
+    that ``sheaf_rank_degree`` reads off the resolution twists."""
     r, e = sheaf_rank_degree(P)
     value = h0_dim(P, d) - (r * (d + 1) + e)
     if value < 0:

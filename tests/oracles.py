@@ -16,7 +16,9 @@ elementary transformation through it, with the fitted
 ``_kernel_quotient_degree`` as the reference for the blow-up record.
 ``splitting_scan`` finds a splitting type as the first twist with sections
 in the pair engine, the reference for the types that ``bundles`` reads off
-the dual.
+the dual, and ``probe_rank_degree`` reads rank and degree off pair-engine
+h^0 values at large twists, the reference for the resolution-twist formula
+of ``cohomology.sheaf_rank_degree``.
 """
 
 from dataclasses import dataclass
@@ -682,7 +684,10 @@ def first_section_twist(P: GradedPresentation) -> int | None:
 
     The scan starts below -(|degree| + guard) where the generation bound
     forces sections of any bundle quotient to be absent, and gives up one
-    guard past the twist span.
+    guard past the twist span.  The degree that sets the scan range comes
+    from ``cohomology.sheaf_rank_degree`` (the resolution-twist formula,
+    checked against ``probe_rank_degree`` in the tests); the sections come
+    from the pair engine.
     """
     r, e = sheaf_rank_degree(P)
     guard = 2 + max((abs(t) for t in P.all_twists()), default=0)
@@ -935,3 +940,28 @@ def splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
     st = SplittingType(a, b)
     _check_pattern(Q, st)
     return st
+
+
+# ---------------------------------------------------------------------------
+# rank and degree from the Hilbert function at large twists
+
+
+def probe_rank_degree(P: GradedPresentation) -> tuple[int, int]:
+    """Rank and degree of the presented sheaf, assumed locally free.
+
+    The rank is the slope of the Hilbert function h^0(d) at large twists and
+    the degree comes from Riemann-Roch h^0(d) = r(d+1) + e there.  The probe
+    twist is deterministic: the twist span plus 2, offset so that every
+    generator summand already has sections; it steps forward while the
+    pattern check fails, up to three attempts.
+    """
+    span = P.twist_span()
+    top = max(P.all_twists(), default=0)
+    D = span + 2 + max(0, -top)
+    for _ in range(3):
+        vals = [h0_dim(P, D), h0_dim(P, D + 1), h0_dim(P, D + 2)]
+        r = vals[1] - vals[0]
+        if vals[2] - vals[1] == r and r >= 0:
+            return r, vals[0] - r * (D + 1)
+        D += span + 2
+    raise NotLocallyFree("Hilbert function does not match a bundle pattern")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arithsurf import cohomology
 from arithsurf.cohomology import (
     h0_dim,
     h1,
@@ -21,9 +22,11 @@ from arithsurf.graded import (
     twist,
 )
 from arithsurf.selftest import oracle_h0
+from arithsurf.transforms import prescribed_types
 from oracles import (
     lattice_family,
     presentation_from_sections,
+    probe_rank_degree,
     provider_from_family,
     resaturate,
 )
@@ -83,6 +86,78 @@ def test_sheaf_rank_degree_examples():
         P = normal_form_presentation(n, Form.zero(n))
         assert sheaf_rank_degree(P) == (2, n)
     assert sheaf_rank_degree(structure_sheaf()) == (1, 0)
+
+
+def random_form(rng, degree):
+    if degree < 0:
+        return Form.zero(degree)
+    return Form.make(degree, [rng.randint(-3, 3) for _ in range(degree + 1)])
+
+
+def random_column(rng, gens, cols):
+    """One relation column: random, zero, a repeat of the last one, or torsion
+    (c or c*x0 times one generator, c in 2, 3, 6)."""
+    kind = rng.choice(("random", "random", "zero", "repeat", "torsion"))
+    if kind == "repeat" and cols:
+        return cols[-1]
+    if kind == "torsion":
+        i = rng.randrange(len(gens))
+        rt = gens[i] - rng.randint(0, 1)
+        entry = Form.make(gens[i] - rt, [rng.choice((2, 3, 6))] + [0] * (gens[i] - rt))
+        return rt, [entry if j == i else Form.zero(a - rt) for j, a in enumerate(gens)]
+    rt = min(gens) - rng.randint(0, 2)
+    if kind == "zero":
+        return rt, [Form.zero(a - rt) for a in gens]
+    return rt, [random_form(rng, a - rt) for a in gens]
+
+
+def test_rank_degree_formula_matches_the_probe_engine():
+    rng = random.Random(2101)
+    cases = non_injective = 0
+    for _ in range(40):
+        gens = tuple(rng.randint(-2, 1) for _ in range(rng.randint(1, 3)))
+        cols = []
+        for _ in range(rng.randint(1, 4)):
+            cols.append(random_column(rng, gens, cols))
+        P = cokernel_presentation(gens, cols)
+        for Q in (P, reduce_mod(P, 2), reduce_mod(P, 3)):
+            expect = probe_rank_degree(Q)
+            assert sheaf_rank_degree(Q) == expect, (Q.base, Q.map.to_json())
+            cases += 1
+            non_injective += expect[0] != len(gens) - len(cols)
+    assert 3 * non_injective >= cases
+
+
+def defect_presentation():
+    cols = [
+        (-3, [(0, -1, 2), (-2, -2, -4, -4)]),
+        (-4, [(-2, 4, -4, 2), (0, -2, -3, 3, 0)]),
+        (-5, [(-2, 6, -10, 7, -2), (4, 2, 9, 15, 8, 8)]),
+    ]
+    return cokernel_presentation(
+        (-1, 0), [(t, [Form.make(len(c) - 1, c) for c in cs]) for t, cs in cols]
+    )
+
+
+def test_rank_degree_of_a_sheaf_that_is_torsion_in_every_fiber():
+    # zero over Q, torsion of length 6 mod 2 and 1 mod 3, zero mod 5
+    P = defect_presentation()
+    assert sheaf_rank_degree(P) == (0, 0)
+    for p, length in ((2, 6), (3, 1), (5, 0)):
+        assert sheaf_rank_degree(reduce_mod(P, p)) == (0, length)
+
+
+def test_rank_degree_never_reaches_the_pair_engine(monkeypatch):
+    nf = normal_form_presentation(3, Form.make(3, (2, -1, 0, 5)))
+    cases = [nf, prescribed_types(2, [(2, 1), (3, 2)]).presentation, reduce_mod(nf, 3)]
+    expect = [probe_rank_degree(P) for P in cases]
+
+    def refuse(P, d):
+        raise AssertionError("pair engine reached")
+
+    monkeypatch.setattr(cohomology, "_section_space_cached", refuse)
+    assert [sheaf_rank_degree(P) for P in cases] == expect
+    assert expect[0] == expect[2] == (2, 3)
 
 
 def test_h1_line_bundles():
