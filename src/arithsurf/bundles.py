@@ -8,14 +8,14 @@ Splitting profiles are read off the dual.  Hom(-, O) is left exact, so
 E^v = ker(phi^T) exactly, over Q and on the fiber over every prime, and the
 sections of E^v(d) are the kernel of the degree-d piece of phi^T:
 
-* the generic type (a, b) has a = the first twist d with ker(phi^T)_d != 0
-  and b = degree - a;
+* the generic type (a, b) has a = c - dim ker(phi^T)_(c-1) with
+  c = ceil(degree / 2), since h^0(E^v(c - 1)) = c - a, and b = degree - a;
 * the piece M of phi^T at a - 1 is injective over Q, and the number c_p of
   its Smith invariants divisible by p is h^0(E_p^v(a - 1)) = a - a_p.  So
   the jump primes are the prime divisors of the largest invariant and the
   type at p is (a - c_p, b + c_p);
 * the type at any single prime p, as :func:`audit_splitting` reads it, has
-  a_p = the first twist d with ker(phi^T mod p)_d != 0, by the same rule.
+  a_p = c - dim ker(phi^T mod p)_(c-1), by the same rule.
 
 Every reported type is then checked against the Hilbert function of E from
 the independent pair engine of :mod:`cohomology`.  Before any of this,
@@ -277,20 +277,12 @@ def _transpose(phi: GradedMap) -> GradedMap:
 
 
 def _dual_type(phi: GradedMap, degree: int, p: int | None = None) -> SplittingType:
-    """(a, degree - a) with a the first twist where ker(phi^T)_a != 0, over Q
-    (``p`` None) or mod p."""
-    dual = _transpose(phi)
-    # E^v is a subsheaf of F0^v, so it has no sections below the least
-    # generator twist; a <= b bounds the scan from above.
-    for a in range(min(phi.target.twists, default=degree), degree // 2 + 1):
-        piece = degree_piece(dual, a)
-        if (rank_of(piece) if p is None else rank_mod(piece, p)) < piece.cols:
-            return SplittingType(a, degree - a)
-    where = "" if p is None else f" mod {p}"
-    raise ProfileInconsistent(
-        f"the dual has no sections{where} up to twist {degree // 2}; "
-        f"not a rank-2 bundle of degree {degree}"
-    )
+    """Type (a, degree - a) over Q (``p`` None) or mod p from one kernel: with
+    c = ceil(degree / 2), a <= c <= b, so dim ker(phi^T)_(c-1) = c - a."""
+    c = -(-degree // 2)
+    piece = degree_piece(_transpose(phi), c - 1)
+    a = c - piece.cols + (rank_of(piece) if p is None else rank_mod(piece, p))
+    return SplittingType(a, degree - a)
 
 
 @lru_cache(maxsize=None)

@@ -3,10 +3,11 @@
 Each criterion is a function returning a :class:`CriterionResult`; the REPL,
 the test suite, and the CLI ``selftest`` subcommand all consume the same
 implementations.  Where a criterion calls for an independent oracle (the
-brute-force global-section solver, the monomial splitting scan, the class
-enumeration), a self-contained implementation lives here and shares no
+global-section solver, the splitting type read from one of its values, the
+class enumeration), a self-contained implementation lives here and shares no
 elimination code with the production path: rational Gauss with Fractions
-and textbook mod-p row reduction.
+and textbook mod-p row reduction.  The global-section solver reads the pair
+space at one exponent fixed by the twists of the free resolution.
 """
 
 from __future__ import annotations
@@ -159,9 +160,35 @@ def _form_block(coeffs, deg, s):
     return rows
 
 
-def _oracle_pair_dim(P: GradedPresentation, d, e):
+def _oracle_rank(P: GradedPresentation, rows) -> int:
+    return _gauss_rank_p(rows, P.base.char) if P.base.kind == "GF" else _gauss_rank_q(rows)
+
+
+def _oracle_rel_matrix(P: GradedPresentation, dd):
+    """The relation map on degree pieces at twist dd, entry by entry."""
     gens = P.map.target.twists
     rels = P.map.source.twists
+    sdims = _piece_dims(rels, dd)
+    tdims = _piece_dims(gens, dd)
+    rows = [[0] * sum(sdims) for _ in range(sum(tdims))]
+    ro = 0
+    for i, a in enumerate(gens):
+        co = 0
+        for j, b in enumerate(rels):
+            entry = P.map.entries[i][j]
+            if sdims[j] and tdims[i] and entry.degree >= 0:
+                block = _form_block(entry.coeffs, entry.degree, b + dd)
+                for r in range(tdims[i]):
+                    for c in range(sdims[j]):
+                        rows[ro + r][co + c] = block[r][c]
+            co += sdims[j]
+        ro += tdims[i]
+    return rows
+
+
+def _oracle_pair_dim(P: GradedPresentation, d, e):
+    """dim Hom((x0^e, x1^e), M)_d: pairs (u, v) in M_(d+e), x1^e u = x0^e v."""
+    gens = P.map.target.twists
     fdims = _piece_dims(gens, d + e)
     gdims = _piece_dims(gens, d + 2 * e)
     f, g = sum(fdims), sum(gdims)
@@ -178,62 +205,44 @@ def _oracle_pair_dim(P: GradedPresentation, d, e):
                     mu[roff + r][f + coff + c] = -b0[r][c]
         roff += gd
         coff += fd
-    def rel_matrix(dd):
-        sdims = _piece_dims(rels, dd)
-        tdims = _piece_dims(gens, dd)
-        rows = [[0] * sum(sdims) for _ in range(sum(tdims))]
-        ro = 0
-        for i, a in enumerate(gens):
-            co = 0
-            for j, b in enumerate(rels):
-                entry = P.map.entries[i][j]
-                if sdims[j] and tdims[i] and entry.degree >= 0:
-                    block = _form_block(entry.coeffs, entry.degree, b + dd)
-                    for r in range(tdims[i]):
-                        for c in range(sdims[j]):
-                            rows[ro + r][co + c] = block[r][c]
-                co += sdims[j]
-            ro += tdims[i]
-        return rows
-    phi2 = rel_matrix(d + 2 * e)
-    phi1 = rel_matrix(d + e)
+    phi2 = _oracle_rel_matrix(P, d + 2 * e)
+    phi1 = _oracle_rel_matrix(P, d + e)
     stacked = [mu[i] + phi2[i] for i in range(g)]
-    p = P.base.char if P.base.kind == "GF" else None
-    rk = _gauss_rank_p if p else _gauss_rank_q
-    args = (p,) if p else ()
-    r_stacked = rk(stacked, *args) if stacked and stacked[0] else 0
-    r_phi2 = rk(phi2, *args) if phi2 and phi2[0] else 0
-    r_phi1 = rk(phi1, *args) if phi1 and phi1[0] else 0
+    r_stacked, r_phi2, r_phi1 = (_oracle_rank(P, m) for m in (stacked, phi2, phi1))
     return 2 * f - r_stacked + r_phi2 - 2 * r_phi1
 
 
+def _oracle_syzygy_twists(P: GradedPresentation) -> list[int]:
+    """Twists of F2 = ker(phi) by the formula of ``sheaf_rank_degree``."""
+    gens, rels = P.map.target.twists, P.map.source.twists
+    if not rels:
+        return []
+    top = max(rels)
+    low = sum(rels) - sum(max(0, a) for a in gens) - (len(rels) - 1) * max(0, top)
+    def kernel_dim(e):
+        return sum(_piece_dims(rels, e)) - _oracle_rank(P, _oracle_rel_matrix(P, e))
+    if kernel_dim(-low) == 0:
+        return []
+    k = [kernel_dim(e) for e in range(-top - 2, -low + 1)]
+    return [-e for e, (k_2, k_1, k_0) in enumerate(zip(k, k[1:], k[2:]), start=-top)
+            for _ in range(k_0 - 2 * k_1 + k_2)]
+
+
 def oracle_h0(P: GradedPresentation, d: int) -> int:
-    """Brute-force global sections: fixed-exponent sweep, three-fold agreement."""
-    gens = P.map.target.twists
-    rels = P.map.source.twists
-    tw = gens + rels
-    span = (max(tw) - min(tw)) if tw else 0
-    floor = max(
-        [0]
-        + [-(a + d) for a in gens]
-        + [(-r - d + 1) // 2 for r in rels if -r - d > 0]
-    )
-    history = []
-    for e in range(floor, floor + span + abs(d) + 9):
-        history.append(_oracle_pair_dim(P, d, e))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            return history[-1]
-    raise AssertionError("oracle did not stabilize")
+    """h^0(M~(d)) as dim Hom((x0^e, x1^e), M)_d at the one exponent
+    e* = max(0, -t-d-1 over the twists t of F1 and F2 = ker phi): for free F
+    the Koszul Ext^i((x0^e, x1^e), F) maps into H^i_m(F) injectively, onto in
+    degree d from e* on, and a chase through 0 -> F2 -> F1 -> F0 -> M -> 0
+    carries this to M (Eisenbud, GTM 229, Appendix 1)."""
+    twists = list(P.map.source.twists) + _oracle_syzygy_twists(P)
+    return _oracle_pair_dim(P, d, max([0] + [-t - d - 1 for t in twists]))
 
 
 def oracle_splitting(P: GradedPresentation, degree: int):
-    guard = 2 + max((abs(t) for t in P.all_twists()), default=0)
-    d = -(abs(degree) + guard)
-    while d <= abs(degree) + guard:
-        if oracle_h0(P, d) > 0:
-            return (degree + d, -d)
-        d += 1
-    raise AssertionError("oracle scan found no sections")
+    """(a, b) of a rank-2 bundle from one oracle value: h^0(E(-h-1)) = b - h
+    for h = floor(degree / 2), as a <= h <= b."""
+    b = degree // 2 + oracle_h0(P, -(degree // 2) - 1)
+    return (degree - b, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the production code paths: rational
 Gaussian elimination with Fraction arithmetic instead of integer echelon
-forms and cofactor determinants instead of Bareiss.  The brute-force
-global-section solver is ``arithsurf.selftest.oracle_h0``, shared with the
-acceptance criteria.
+forms and cofactor determinants instead of Bareiss.  The global-section
+solver is ``arithsurf.selftest.oracle_h0``, the pair space at one exponent
+fixed by the twists of the free resolution, shared with the acceptance
+criteria.
 
 The exceptions are the two engines at the end.  The section-lattice engine
 re-presents a kernel-defined sheaf from a window of its stabilized section
@@ -14,11 +15,11 @@ the closed forms of the package: ``resaturate`` feeds it a sheaf's own
 section lattices, and ``apply_full``/``restricted_quotient`` compute an
 elementary transformation through it, with the fitted
 ``_kernel_quotient_degree`` as the reference for the blow-up record.
-``splitting_scan`` finds a splitting type as the first twist with sections
-in the pair engine, the reference for the types that ``bundles`` reads off
-the dual, and ``probe_rank_degree`` reads rank and degree off pair-engine
-h^0 values at large twists, the reference for the resolution-twist formula
-of ``cohomology.sheaf_rank_degree``.
+``splitting_scan`` reads a splitting type off one pair-engine h^0 value and
+checks it against the Hilbert pattern, the reference for the types that
+``bundles`` reads off the dual, and ``probe_rank_degree`` reads rank and
+degree off pair-engine h^0 values at large twists, the reference for the
+resolution-twist formula of ``cohomology.sheaf_rank_degree``.
 """
 
 from dataclasses import dataclass
@@ -915,29 +916,16 @@ def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
 
 
 # ---------------------------------------------------------------------------
-# splitting types by a first-section scan with the pair engine
-
-
-def scan_guard(P: GradedPresentation) -> int:
-    return 2 + max((abs(t) for t in P.all_twists()), default=0)
+# splitting types from one pair-engine value
 
 
 def splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
-    """First-section scan with the pair engine, then the Hilbert-pattern check."""
-    guard = scan_guard(Q)
-    d = -(abs(degree) + guard)
-    top = abs(degree) + guard + 1
-    while d <= top and h0_dim(Q, d) == 0:
-        d += 1
-    if d > top:
-        raise ProfileInconsistent("no sections found inside the scan range")
-    b = -d
-    a = degree - b
-    if a > b:
-        raise ProfileInconsistent(
-            f"sections first appear at twist {d}, inconsistent with degree {degree}"
-        )
-    st = SplittingType(a, b)
+    """Type (a, b) of a rank-2 bundle of the given degree from one pair-engine
+    value, then the Hilbert-pattern check.  With h = floor(degree / 2),
+    a <= h <= b gives h^0(E(-h-1)) = b - h."""
+    half = degree // 2
+    b = half + h0_dim(Q, -half - 1)
+    st = SplittingType(degree - b, b)
     _check_pattern(Q, st)
     return st
 

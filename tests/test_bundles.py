@@ -5,6 +5,7 @@ import pytest
 from arithsurf.bundles import (
     SplittingProfile,
     SplittingType,
+    _dual_type,
     _fitting_minors,
     audit_splitting,
     bundle_handle,
@@ -47,6 +48,18 @@ def test_split_bundle_generic_type():
         B = bundle_handle(free_presentation((0, -n)), assume_saturated=True)
         assert splitting_type(B) == SplittingType(-n, 0)
         assert type_profile(B).jumps == ()
+
+
+def test_type_identity_reads_each_half_from_one_value():
+    # b = floor(e/2) + h^0(E(-floor(e/2)-1)), a = ceil(e/2) - h^0(E^v(ceil(e/2)-1))
+    for a in range(-8, 9):
+        for b in range(a, 9):
+            st, e = SplittingType(a, b), a + b
+            half, c = e // 2, -(-e // 2)
+            assert b == half + st.h0_at(-half - 1)
+            assert a == c - SplittingType(-b, -a).h0_at(c - 1)
+            phi = free_presentation((a, b)).map
+            assert _dual_type(phi, e) == _dual_type(phi, e, 5) == st
 
 
 def test_normal_form_5x0x1_matches_oracle():

@@ -147,6 +147,31 @@ def test_rank_degree_of_a_sheaf_that_is_torsion_in_every_fiber():
         assert sheaf_rank_degree(reduce_mod(P, p)) == (0, length)
 
 
+# h^0 of the defect presentation at every twist: zero over Q and mod 5, the
+# torsion length 1 mod 3 and 6 mod 2
+DEFECT_H0 = {None: 0, 5: 0, 3: 1, 2: 6}
+
+
+def defect_h0_table(h0):
+    P = defect_presentation()
+    return {
+        p: [h0(P if p is None else reduce_mod(P, p), d) for d in range(-3, 7)]
+        for p in DEFECT_H0
+    }
+
+
+def test_oracle_h0_on_a_sheaf_that_is_torsion_in_every_fiber():
+    assert defect_h0_table(oracle_h0) == {p: [v] * 10 for p, v in DEFECT_H0.items()}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="h0_dim still scans pair spaces to a stopping rule (ROADMAP item 1b)",
+)
+def test_h0_dim_on_a_sheaf_that_is_torsion_in_every_fiber():
+    assert defect_h0_table(h0_dim) == {p: [v] * 10 for p, v in DEFECT_H0.items()}
+
+
 def test_rank_degree_never_reaches_the_pair_engine(monkeypatch):
     nf = normal_form_presentation(3, Form.make(3, (2, -1, 0, 5)))
     cases = [nf, prescribed_types(2, [(2, 1), (3, 2)]).presentation, reduce_mod(nf, 3)]

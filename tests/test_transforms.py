@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -59,6 +60,55 @@ def test_validate_degree_mismatch():
         validate_quotient(B, FiberQuotient.make(3, -1, (Form.zero(-1), Form.zero(-1))))
     with pytest.raises(DegreeMismatch):
         validate_quotient(B, FiberQuotient.make(3, 1, (Form.monomial(1, 0), Form.zero(0))))
+
+
+def test_validate_quotient_matches_the_gcd_criterion():
+    # a pair is onto on the fiber exactly when its forms are coprime mod p
+    rng = random.Random(2301)
+    handles = [split_handle(-1, -n - 1) for n in range(3)]
+    outcomes = []
+    for _ in range(200):
+        p, n, m = rng.choice((2, 3, 5, 7)), rng.randrange(3), rng.randrange(3)
+        g = Form.make(m + 1, [rng.randrange(p) for _ in range(m + 2)])
+        h = Form.make(m + n + 1, [rng.randrange(p) for _ in range(m + n + 2)])
+        try:
+            validate_quotient(handles[n], FiberQuotient.from_pair(p, m, g, h))
+            accepted = True
+        except NotSurjective as exc:
+            assert exc.degree == m + 2 * n + 4
+            accepted = False
+        assert accepted == (form_gcd_degree_mod(g, h, p) == 0), (p, m, g, h)
+        outcomes.append(accepted)
+    assert min(outcomes.count(True), outcomes.count(False)) >= 40
+
+
+# (n, p, (u, w, t)) of normal_form_row on the normal form NF_ROW_FORMS[n]
+# whose three forms share a zero on the fiber
+NF_ROW_FORMS = {1: (2, 3), 2: (0, 6, 0), 3: (1, 0, 2, 3)}
+NF_ROW_REFUSED = {
+    (1, 2, (0, 0, 0)), (1, 2, (0, 0, 1)), (1, 2, (1, 1, 0)), (1, 2, (1, 1, 1)),
+    (1, 3, (0, 0, 0)), (1, 3, (0, 1, 0)), (1, 5, (0, 0, 0)),
+    (2, 2, (0, 0, 0)), (2, 2, (0, 0, 1)), (2, 2, (0, 1, 0)), (2, 2, (0, 1, 1)),
+    (2, 3, (0, 0, 0)), (2, 3, (0, 0, 1)), (2, 3, (0, 1, 0)), (2, 3, (0, 1, 1)),
+    (2, 5, (0, 0, 0)), (2, 5, (0, 0, 1)), (2, 5, (0, 1, 0)),
+    (3, 2, (0, 0, 0)), (3, 2, (0, 1, 1)), (3, 2, (1, 0, 1)), (3, 2, (1, 1, 0)),
+    (3, 3, (0, 0, 0)), (3, 3, (0, 1, 0)), (3, 3, (0, 1, 1)), (3, 3, (1, 0, 1)),
+    (3, 5, (0, 0, 0)), (3, 5, (0, 1, 1)), (3, 5, (1, 0, 1)),
+}
+
+
+def test_validate_three_form_rows_on_normal_forms():
+    for n, coeffs in NF_ROW_FORMS.items():
+        f = Form.make(n, coeffs)
+        B = bundle_from_normal_form(NormalForm.make(n, f))
+        for p in (2, 3, 5):
+            for uwt in itertools.product(range(2), repeat=3):
+                q = normal_form_row(n, f, p, *uwt)
+                if (n, p, uwt) in NF_ROW_REFUSED:
+                    with pytest.raises(NotSurjective):
+                        validate_quotient(B, q)
+                else:
+                    assert validate_quotient(B, q)["ok"], (n, p, uwt)
 
 
 def test_horizontal_center_rejected():
