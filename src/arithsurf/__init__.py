@@ -13,62 +13,56 @@ The package computes, in exact integer arithmetic throughout:
 on top of a small exact linear algebra core (``exactlat``), graded
 presentations of sheaves on the line (``graded``), and degreewise sheaf
 cohomology (``cohomology``).
+
+The public names below are re-exported lazily (PEP 562): a layer is
+imported on the first use of one of its names, so importing the package,
+or running one CLI subcommand, loads only the layers that are used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bundles import (
-    BundleHandle,
-    SplittingProfile,
-    SplittingType,
-    bundle_handle,
-    check_parity,
-    check_type_h0,
-    normalize,
-    splitting_type,
-    try_split_certificate,
-    type_profile,
-)
-from .cohomology import h0_dim, h1, sheaf_rank_degree
-from .delpezzo import (
-    PointConfiguration,
-    ProjectivePoint,
-    classify,
-    general_position,
-    minus_one_classes,
-    standardize,
-)
-from .errors import ArithsurfError
-from .exactlat import IntegerMatrix, LatticeBasis, kernel_lattice, rank_over, smith_invariants
-from .graded import (
-    GF,
-    QQ,
-    ZZ,
-    Form,
-    FreeGraded,
-    GradedMap,
-    GradedPresentation,
-    cokernel_presentation,
-    degree_piece,
-    free_presentation,
-    monomial_basis,
-    parse_form,
-    reduce_mod,
-    twist,
-)
-from .hirzebruch import (
-    NormalForm,
-    bundle_from_normal_form,
-    constancy_check,
-    degree_profile,
-    equation,
-    reduce_coefficients,
-)
-from .transforms import (
-    BlowupFactorization,
-    FiberQuotient,
-    apply,
-    blowup_factorization,
-    prescribed_types,
-    validate_quotient,
-)
+_PUBLIC = {
+    "bundles": (
+        "BundleHandle", "SplittingProfile", "SplittingType", "bundle_handle", "check_parity",
+        "check_type_h0", "normalize", "splitting_type", "try_split_certificate", "type_profile",
+    ),
+    "cohomology": ("h0_dim", "h1", "sheaf_rank_degree"),
+    "delpezzo": (
+        "PointConfiguration", "ProjectivePoint", "classify", "general_position",
+        "minus_one_classes", "standardize",
+    ),
+    "errors": ("ArithsurfError",),
+    "exactlat": ("IntegerMatrix", "LatticeBasis", "kernel_lattice", "rank_over", "smith_invariants"),
+    "graded": (
+        "GF", "QQ", "ZZ", "Form", "FreeGraded", "GradedMap", "GradedPresentation",
+        "cokernel_presentation", "degree_piece", "free_presentation", "monomial_basis",
+        "parse_form", "reduce_mod", "twist",
+    ),
+    "hirzebruch": (
+        "NormalForm", "bundle_from_normal_form", "constancy_check", "degree_profile", "equation",
+        "reduce_coefficients",
+    ),
+    "transforms": (
+        "BlowupFactorization", "FiberQuotient", "apply", "blowup_factorization",
+        "prescribed_types", "validate_quotient",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _PUBLIC.items() for name in names}
+
+__all__ = list(_LAYER_OF)
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    # Bound once, so later lookups are plain module attribute reads.
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,6 +4,9 @@ Every run emits a single JSON document on stdout; diagnostics go to stderr.
 Exit status is 0 on success, 2 on domain errors (the error name travels in
 the document), and 1 on usage errors.  Identical requests produce
 byte-identical output.
+
+Each subcommand imports the layers it runs inside its own branch, so a
+fresh process pays only for those.
 """
 
 from __future__ import annotations
@@ -13,35 +16,7 @@ import json
 import sys
 
 from . import __version__
-from .bundles import (
-    BundleHandle,
-    audit_splitting,
-    bundle_handle,
-    check_parity,
-    check_type_h0,
-    type_profile,
-)
-from .delpezzo import PointConfiguration, classify, general_position
 from .errors import ArithsurfError, InvalidInput, schema_checked
-from .exactlat import is_prime
-from .graded import Form, GradedPresentation, parse_form
-from .hirzebruch import (
-    NormalForm,
-    bundle_from_normal_form,
-    constancy_check,
-    degree_profile,
-    equation,
-    reduce_coefficients,
-)
-from .selftest import run_acceptance
-from .transforms import (
-    FiberQuotient,
-    apply_full,
-    blowup_factorization,
-    default_surjection,
-    prescribed_types,
-    validate_quotient,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,15 +55,19 @@ def _parse_jump(text: str):
 
 
 @schema_checked
-def _presentation_document(obj) -> GradedPresentation:
+def _presentation_document(obj):
     """The presentation in a result document, a bundle handle, or given bare."""
+    from .graded import GradedPresentation
+
     if "bundle" in obj:
         obj = obj["bundle"]
     return GradedPresentation.from_json(obj.get("presentation", obj))
 
 
-def _load_bundle(args) -> BundleHandle:
+def _load_bundle(args):
     if getattr(args, "bundle", None):
+        from .bundles import bundle_handle
+
         try:
             with open(args.bundle) as fh:
                 obj = json.load(fh)
@@ -99,9 +78,13 @@ def _load_bundle(args) -> BundleHandle:
             raise InvalidInput(f"a bundle document must be over ZZ, not {pres.base}")
         return bundle_handle(pres)
     if getattr(args, "normal_form_n", None) is not None:
+        from .hirzebruch import NormalForm, bundle_from_normal_form
+
         nf = NormalForm.make(args.normal_form_n, args.normal_form_f or "0")
         return bundle_from_normal_form(nf)
     if getattr(args, "generic_type", None) is not None:
+        from .transforms import prescribed_types
+
         jumps = [_parse_jump(j) for j in (args.jump or [])]
         return prescribed_types(args.generic_type, jumps)
     raise ValueError("no bundle input given; use --bundle, --generic-type or -n/-f")
@@ -115,7 +98,10 @@ def _bundle_input_flags(sub):
     sub.add_argument("-f", dest="normal_form_f", help="normal form coefficient form, e.g. '5*x0*x1'")
 
 
-def _quotient_from_args(B: BundleHandle, args) -> FiberQuotient:
+def _quotient_from_args(B, args):
+    from .graded import parse_form
+    from .transforms import FiberQuotient
+
     p, m = args.prime, args.twist
     if args.row:
         twists = B.presentation.map.target.twists
@@ -130,7 +116,10 @@ def _quotient_from_args(B: BundleHandle, args) -> FiberQuotient:
     return FiberQuotient.from_pair(p, m, g, h)
 
 
-def _profile_payload(B: BundleHandle, audit_bound: int | None) -> dict:
+def _profile_payload(B, audit_bound: int | None) -> dict:
+    from .bundles import audit_splitting, type_profile
+    from .exactlat import is_prime
+
     payload = {
         "bundle": B.to_json(),
         "profile": type_profile(B).to_json(),
@@ -146,8 +135,11 @@ def _profile_payload(B: BundleHandle, audit_bound: int | None) -> dict:
 
 def _write_output(args, payload):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            json.dump({"meta": _meta(), **payload}, fh, indent=2)
+        try:
+            with open(args.output, "w") as fh:
+                json.dump({"meta": _meta(), **payload}, fh, indent=2)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -196,6 +188,8 @@ def build_parser() -> _Parser:
 
 
 def _run_bundle(args) -> dict:
+    from .bundles import check_parity, check_type_h0
+
     B = _load_bundle(args)
     payload = _profile_payload(B, args.primes_up_to)
     if args.subcommand == "check":
@@ -207,6 +201,9 @@ def _run_bundle(args) -> dict:
 
 
 def _run_transform(args) -> dict:
+    from .bundles import type_profile
+    from .transforms import apply_full, blowup_factorization, validate_quotient
+
     B = _load_bundle(args)
     q = _quotient_from_args(B, args)
     validate_quotient(B, q)
@@ -223,6 +220,8 @@ def _run_transform(args) -> dict:
 
 
 def _run_surface(args) -> dict:
+    from .hirzebruch import NormalForm, constancy_check, degree_profile, equation, reduce_coefficients
+
     nf = NormalForm.make(args.n, args.f)
     if args.reduce:
         nf = reduce_coefficients(nf)
@@ -234,6 +233,8 @@ def _run_surface(args) -> dict:
 
 
 def _run_delpezzo(args) -> dict:
+    from .delpezzo import PointConfiguration, classify, general_position
+
     config = PointConfiguration.parse(args.points)
     if args.subcommand == "check":
         return {"points": config.to_json(), "verdict": general_position(config).to_json()}
@@ -241,6 +242,8 @@ def _run_delpezzo(args) -> dict:
 
 
 def _run_selftest(args) -> dict:
+    from .selftest import run_acceptance
+
     results = run_acceptance(only=args.only)
     for r in results:
         print(r.line(), file=sys.stderr)
@@ -268,12 +271,12 @@ def main(argv=None) -> int:
             return 0 if payload["passed"] else 2
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")
+        _write_output(args, payload)
     except ArithsurfError as exc:
         return _emit_error(exc)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    _write_output(args, payload)
     return _emit(payload)
 
 

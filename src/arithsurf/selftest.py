@@ -5,9 +5,10 @@ the test suite, and the CLI ``selftest`` subcommand all consume the same
 implementations.  Where a criterion calls for an independent oracle (the
 global-section solver, the splitting type read from one of its values, the
 class enumeration), a self-contained implementation lives here and shares no
-elimination code with the production path: rational Gauss with Fractions
-and textbook mod-p row reduction.  The global-section solver reads the pair
-space at one exponent fixed by the twists of the free resolution.
+elimination code with the production path: Bareiss fraction-free
+elimination over Z and textbook mod-p row reduction.  The global-section
+solver reads the pair space at one exponent fixed by the twists of the free
+resolution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bundles import (
     audit_splitting,
@@ -95,22 +95,26 @@ def _primes_not_in(exclude, count):
 
 
 def _gauss_rank_q(rows):
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Rank over Q by Bareiss forward elimination on the integers.
+
+    Each step divides exactly by the previous pivot, since every entry below
+    the pivot rows is a minor of the input (Sylvester's identity).
+    """
+    a = [list(row) for row in rows]
     if not a or not a[0]:
         return 0
     m, n = len(a), len(a[0])
-    r = 0
+    r, prev = 0, 1
     for c in range(n):
-        sel = next((i for i in range(r, m) if a[i][c] != 0), None)
+        sel = next((i for i in range(r, m) if a[i][c]), None)
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivot = a[r][c]
+        for i in range(r + 1, m):
+            f = a[i][c]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], a[r])]
+        prev = pivot
         r += 1
         if r == m:
             break
@@ -585,5 +589,11 @@ ALL_CRITERIA = {
 
 def run_acceptance(only=None) -> list[CriterionResult]:
     """Run the acceptance criteria (all by default), in order."""
+    unknown = sorted(set(only or ()) - set(ALL_CRITERIA))
+    if unknown:
+        raise ValueError(
+            f"no criterion {', '.join(map(str, unknown))}; "
+            f"the criteria are {', '.join(map(str, ALL_CRITERIA))}"
+        )
     numbers = sorted(ALL_CRITERIA) if not only else sorted(set(only))
     return [ALL_CRITERIA[n]() for n in numbers]

@@ -383,14 +383,14 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
     specs = []
     seen = set()
     for item in jumps:
-        if len(item) == 2:
-            p, ni = item
-            q = default_surjection(p, n, ni)
-        else:
-            p, ni, (g, h) = item
-            q = FiberQuotient.from_pair(p, ni - 1, g, h)
+        p, ni = item[:2]
         if ni < 1:
             raise ValueError("jump heights must be at least 1")
+        if len(item) == 2:
+            q = default_surjection(p, n, ni)
+        else:
+            g, h = item[2]
+            q = FiberQuotient.from_pair(p, ni - 1, g, h)
         if p in seen:
             raise DuplicatePrime(f"prime {p} listed twice")
         seen.add(p)

@@ -229,3 +229,22 @@ def test_selftest_subset(capsys):
     assert doc["passed"] is True
     assert [c["number"] for c in doc["criteria"]] == [3, 7]
     assert "criterion 3" in captured.err
+
+
+def test_selftest_unknown_criterion_is_a_usage_error(capsys):
+    code = main(["selftest", "--only", "3", "--only", "99"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: no criterion 99")
+    assert "1, 2, 3, 4, 5, 6, 7, 8" in captured.err
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code = main(["bundle", "build", "--generic-type", "1", "--output", str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot write --output {target}")
+    assert not target.exists()

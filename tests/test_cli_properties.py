@@ -1,0 +1,145 @@
+"""Property test of the CLI over argv drawn from its grammar.
+
+Every argv gets exit 0 (one JSON document on stdout), exit 2 (one JSON
+document naming the domain error) or exit 1 (a ``usage error:`` line on
+stderr and nothing on stdout); no argv raises.  Sizes stay small (|n| <= 6,
+jump heights <= 6, primes and audit bounds <= 50) so each example runs in
+well under a second.  Values are passed as ``--g=TEXT``, since argparse
+reads a separate value with a leading minus sign as an option.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from arithsurf.cli import main
+
+SMALL = st.integers(-6, 6)
+DEGREE = st.integers(-1, 6)
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+PRIME_LIKE = st.one_of(st.sampled_from(PRIMES), st.integers(-2, 50))
+COEFF = st.sampled_from([1, -1, 0, 2, -3, 5])
+JUNK = st.sampled_from(["", "x", "1:", "::", "x2", "x0^", "1/2", "x0+", "*x1", "a:b:c", "0:0:0"])
+
+
+@st.composite
+def forms(draw, degree=None):
+    """Form text in x0, x1, usually homogeneous of the given degree."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(JUNK)
+    d = draw(st.integers(0, 4)) if degree is None or draw(st.booleans()) else degree
+    if d < 0:
+        return "0"
+    text = ""
+    for i in range(d + 1):
+        c = draw(COEFF)
+        if c:
+            text += f"{'-' if c < 0 else '+'}{abs(c)}*x0^{d - i}*x1^{i}"
+    return text.lstrip("+") or "0"
+
+
+def points():
+    triple = st.tuples(SMALL, SMALL, SMALL).map(lambda t: "%d:%d:%d" % t)
+    return st.one_of(st.lists(triple, min_size=1, max_size=6).map(",".join), JUNK)
+
+
+@st.composite
+def bundle_input(draw, files):
+    """Bundle input flags, and the generator twists of the bundle they give
+    when the flags build one (a guess for ``--bundle`` files)."""
+    kind = draw(st.sampled_from(["generic", "bundle", "normal", "none", "both"]))
+    argv, twists = [], (0, 0)
+    if kind in ("bundle", "both"):
+        argv += ["--bundle", draw(st.sampled_from(files))]
+    if kind in ("generic", "both"):
+        n = draw(DEGREE)
+        argv += ["--generic-type", str(n)]
+        for p, ni in draw(st.lists(st.tuples(PRIME_LIKE, st.integers(-1, 6)), max_size=3)):
+            argv += ["--jump=" + (f"{p}:{ni}" if draw(st.integers(0, 9)) < 9 else draw(JUNK))]
+        twists = (-1, -n - 1)
+    if kind == "normal":
+        n = draw(DEGREE)
+        argv += ["-n", str(n)]
+        if draw(st.booleans()):
+            argv += ["-f=" + draw(forms(n))]
+        twists = (0, 0, 0)
+    return argv, twists
+
+
+@st.composite
+def cli_argv(draw, files, outputs):
+    command = draw(st.sampled_from(["bundle", "transform", "surface", "delpezzo", "selftest"]))
+    if command == "selftest":
+        argv = ["selftest"]
+        for n in draw(st.lists(st.sampled_from([-1, 0, 3, 7, 9, 99]), min_size=1, max_size=2)):
+            argv += ["--only", str(n)]
+        return argv
+    if command == "bundle":
+        argv = ["bundle", draw(st.sampled_from(["build", "profile", "check"]))]
+        argv += draw(bundle_input(files))[0]
+        if draw(st.booleans()):
+            argv += ["--primes-up-to", str(draw(PRIME_LIKE))]
+    elif command == "transform":
+        source, twists = draw(bundle_input(files))
+        m = draw(st.integers(-2, 4))
+        argv = ["transform", draw(st.sampled_from(["apply", "factorize"])), *source]
+        argv += ["--prime", str(draw(PRIME_LIKE)), "--twist", str(m)]
+        row = [draw(forms(m - t)) for t in twists]
+        if draw(st.booleans()):
+            argv += ["--row=" + ";".join(row)]
+        else:
+            argv += ["--g=" + row[0], "--h=" + row[1]][: draw(st.sampled_from([2, 2, 2, 1]))]
+    elif command == "surface":
+        n = draw(DEGREE)
+        argv = ["surface", "normal-form", "-n", str(n), "-f=" + draw(forms(n))]
+        argv += [flag for flag in ("--reduce", "--certify") if draw(st.booleans())]
+    else:
+        argv = ["delpezzo", draw(st.sampled_from(["check", "classify"])), "--points=" + draw(points())]
+    if draw(st.booleans()):
+        argv += ["--output", draw(st.sampled_from(outputs))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_properties")
+    good, bad = root / "bundle.json", root / "bad.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["bundle", "build", "--generic-type", "1", "--jump", "3:2", "--output", str(good)]) == 0
+    bad.write_text('{"presentation": {"base": "ZZ"}}')
+    files = [str(good), str(bad), str(root / "absent.json")]
+    outputs = [str(root / "out.json"), str(root / "missing" / "out.json")]
+    return files, outputs
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_every_argv_gets_a_document_or_a_usage_error(paths):
+    files, outputs = paths
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cli_argv(files, outputs))
+    def check(argv):
+        code, out, err = run(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        if code == 1:
+            assert out == "" and "usage error:" in err, (argv, out, err)
+            return
+        doc = json.loads(out)
+        assert doc["meta"]["tool"] == "arithsurf"
+        assert ("error" in doc) == (code == 2 and argv[0] != "selftest"), (argv, doc)
+
+    check()

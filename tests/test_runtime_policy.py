@@ -1,7 +1,8 @@
 """The runtime imports only the standard library and reads no environment.
 
 Every module of the package is parsed, not imported, so the check also
-covers imports that sit inside functions.
+covers imports that sit inside functions.  The CLI module imports no layer
+at module level, so that each subcommand loads only the layers it runs.
 """
 
 import ast
@@ -42,3 +43,26 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_stdlib_only_and_no_environment_reads(path):
     assert _violations(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_cli_module_level_imports_are_stdlib_version_and_errors():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    found = []
+    for node in ast.parse(cli.read_text(), str(cli)).body:
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module != "errors" and not (node.module is None and names == ["__version__"]):
+                found.append(f"line {node.lineno}: from .{node.module or ''} import {', '.join(names)}")
+            continue
+        else:
+            continue
+        found += [
+            f"line {node.lineno}: import {name}"
+            for name in modules
+            if name.split(".")[0] not in sys.stdlib_module_names
+        ]
+    assert found == []
