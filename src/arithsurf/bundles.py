@@ -389,14 +389,9 @@ def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
     if prof.jumps:
         return None
     a = prof.generic.a
-    phi = B.presentation.map
-    w = kernel_lattice(degree_piece(_transpose(phi), a)).vectors()[0]
-    row, start = [], 0
-    for t in phi.target.twists:
-        size = max(0, a - t + 1)
-        row.append(Form(a - t, tuple(w[start : start + size])))
-        start += size
-    N = row_onto_degree(row, phi.target.twists, a)
+    dual = _transpose(B.presentation.map)
+    row = dual.source.piece_forms(a, kernel_lattice(degree_piece(dual, a)).vectors()[0])
+    N = row_onto_degree(row, B.presentation.generators.twists, a)
     if N is None:
         raise ProfileInconsistent(f"the dual section at twist {a} is not onto on every fiber")
-    return SplitCertificate(prof.generic, tuple(row), N)
+    return SplitCertificate(prof.generic, row, N)

@@ -19,10 +19,47 @@ from . import __version__
 from .errors import ArithsurfError, InvalidInput, schema_checked
 
 
+# Largest accepted sizes.  The work of one command grows polynomially in
+# each of them, and past these a command takes many seconds or runs out of
+# memory; they are refused as usage errors before any work.
+_MAX_GENERIC_TYPE = 32
+_MAX_NORMAL_FORM_N = 32
+_MAX_JUMP_HEIGHT = 16
+_MAX_PRIMES_UP_TO = 256
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"usage error: {message}", file=sys.stderr)
         sys.exit(1)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # The token after an option that takes a value is that value, even
+        # when it begins with "-" (a form or a point with a negative entry).
+        takes_value = {s for a in self._actions if a.nargs is None for s in a.option_strings}
+        args = list(sys.argv[1:] if args is None else args)
+        out = []
+        while args:
+            token = args.pop(0)
+            if token in takes_value and args and args[0].startswith("-"):
+                token = f"{token}={args.pop(0)}"
+            out.append(token)
+        return super().parse_known_args(out, namespace)
+
+
+def _int_at_most(limit: int):
+    """argparse type: an integer no larger than ``limit``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the limit {limit}")
+        return value
+
+    return parse
 
 
 def _meta() -> dict:
@@ -51,7 +88,10 @@ def _parse_jump(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"expected P:NI, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    p, ni = int(parts[0]), int(parts[1])
+    if ni > _MAX_JUMP_HEIGHT:
+        raise ValueError(f"jump height {ni} exceeds the limit {_MAX_JUMP_HEIGHT}")
+    return p, ni
 
 
 @schema_checked
@@ -92,9 +132,11 @@ def _load_bundle(args):
 
 def _bundle_input_flags(sub):
     sub.add_argument("--bundle", help="path to a bundle JSON document")
-    sub.add_argument("--generic-type", type=int, help="generic type n for prescribed jumps")
+    sub.add_argument(
+        "--generic-type", type=_int_at_most(_MAX_GENERIC_TYPE), help="generic type n for prescribed jumps"
+    )
     sub.add_argument("--jump", action="append", metavar="P:NI", help="jump prime and height (repeatable)")
-    sub.add_argument("-n", dest="normal_form_n", type=int, help="normal form degree")
+    sub.add_argument("-n", dest="normal_form_n", type=_int_at_most(_MAX_NORMAL_FORM_N), help="normal form degree")
     sub.add_argument("-f", dest="normal_form_f", help="normal form coefficient form, e.g. '5*x0*x1'")
 
 
@@ -151,7 +193,7 @@ def build_parser() -> _Parser:
     for name in ("build", "profile", "check"):
         b = bsub.add_parser(name)
         _bundle_input_flags(b)
-        b.add_argument("--primes-up-to", type=int, dest="primes_up_to")
+        b.add_argument("--primes-up-to", type=_int_at_most(_MAX_PRIMES_UP_TO), dest="primes_up_to")
         b.add_argument("--output", help="also write the result document to a file")
 
     transform = sub.add_parser("transform", help="fiber-type elementary transformations")
@@ -169,7 +211,7 @@ def build_parser() -> _Parser:
     surface = sub.add_parser("surface", help="Hirzebruch surface normal forms")
     ssub = surface.add_subparsers(dest="subcommand", required=True)
     s = ssub.add_parser("normal-form")
-    s.add_argument("-n", type=int, required=True)
+    s.add_argument("-n", type=_int_at_most(_MAX_NORMAL_FORM_N), required=True)
     s.add_argument("-f", default="0")
     s.add_argument("--reduce", action="store_true", help="kill the x0^n and x1^n coefficients first")
     s.add_argument("--certify", action="store_true", help="attempt a constancy certificate")

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import gcd, isqrt
 
 from .errors import NotGeneralPosition, TooManyPoints
-from .exactlat import IntegerMatrix, determinant, prime_divisors
+from .exactlat import IntegerMatrix, _echelon, _reduce_above, determinant, prime_divisors
 
 MAX_POINTS = 8
 
@@ -240,39 +240,15 @@ class Standardization:
 
 
 def _unimodular_to_standard(points) -> IntegerMatrix:
-    """T in GL_3(Z) with T p_i = e_i, by unimodular row reduction."""
+    """T in GL_3(Z) with T p_i = e_i: the transform of the integer echelon
+    form of the 3 x r matrix of the points, reduced above its unit pivots."""
     r = len(points)
-    cols = [list(p.coords()) for p in points]
-    a = [[cols[j][i] for j in range(r)] for i in range(3)]
-    t = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-
-    def row_sub(i, k, q):
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        t[i] = [x - q * y for x, y in zip(t[i], t[k])]
-
+    rows = [[p.coords()[i] for p in points] for i in range(3)]
+    rows, pivots, t = _echelon(rows, r, transform=True)
     for col in range(r):
-        while True:
-            nz = [i for i in range(col, 3) if a[i][col] != 0]
-            if len(nz) == 1:
-                break
-            nz.sort(key=lambda i: abs(a[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                row_sub(i, base, a[i][col] // a[base][col])
-        pivot_row = next(i for i in range(col, 3) if a[i][col] != 0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            t[col], t[pivot_row] = t[pivot_row], t[col]
-        if a[col][col] < 0:
-            a[col] = [-x for x in a[col]]
-            t[col] = [-x for x in t[col]]
-        if a[col][col] != 1:
-            raise NotGeneralPosition(
-                f"column {col} reduces to pivot {a[col][col]}, not a unit"
-            )
-        for i in range(3):
-            if i != col and a[i][col] != 0:
-                row_sub(i, col, a[i][col])
+        if rows[col][col] != 1:
+            raise NotGeneralPosition(f"column {col} reduces to pivot {rows[col][col]}, not a unit")
+    _reduce_above(rows, pivots, t)
     return IntegerMatrix.from_rows(t)
 
 

@@ -13,6 +13,10 @@ the columns; the pivot (first nonzero entry) of each column sits in a strictly
 later row than the pivot of the previous column; pivots are positive; within
 each pivot row the entries belonging to earlier columns are reduced into
 [0, pivot).  This is the transpose of the usual row-style Hermite normal form.
+
+Two engines do every elimination: ``_echelon`` (with ``_reduce_above``)
+over Z and ``rref_mod`` over F_p.  Smith invariants come from alternating
+Hermite forms of a matrix and its transpose.
 """
 
 from __future__ import annotations
@@ -203,14 +207,20 @@ def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
     return rows, pivots, trans
 
 
-def _reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]]):
-    """Reduce entries above each pivot into [0, pivot), left to right."""
+def _reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]], trans=None):
+    """Reduce entries above each pivot into [0, pivot), left to right.
+
+    ``trans``, when given, undergoes the same row operations, so that
+    ``trans * original = rows`` still holds for a transform of ``_echelon``.
+    """
     for (r, c) in pivots:
         piv = rows[r][c]
         for i in range(r):
             q = rows[i][c] // piv
             if q:
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                if trans is not None:
+                    trans[i] = [a - q * b for a, b in zip(trans[i], trans[r])]
     return rows
 
 
@@ -347,72 +357,22 @@ def span_lattice(ambient: int, vectors) -> LatticeBasis:
 def smith_invariants(M: IntegerMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Unimodular column and then row operations first bring M to an r x r
-    triangular matrix, r = rank: the row Hermite form of the columns of the
-    Hermite basis of its column lattice.  Its entries are reduced below
-    their pivots, which keeps the classical elementary-operations algorithm
-    that follows (smallest-pivot selection, no modular tricks) from blowing
-    up the coefficients.  The divisibility chain is enforced by folding any
-    non-divisible residual entry back into the pivot position.
+    Alternating Hermite forms (Kannan & Bachem, SIAM J. Comput. 8(4), 1979):
+    the row Hermite form of the columns of M is a basis of its column
+    lattice, and the row Hermite form of the transpose of the result, then
+    of its transpose, and so on, brings it to a diagonal r x r matrix,
+    r = rank.  Each form keeps its entries reduced below their pivots, so
+    the coefficients stay small.  Replacing diagonal pairs by their gcd and
+    lcm then gives the divisibility chain.
     """
-    basis = row_hnf(M.columns_list(), M.rows)
-    a = [list(v) for v in row_hnf(list(zip(*basis)), len(basis))]
-    m = n = len(a)
-    out: list[int] = []
-    top = 0
-    while True:
-        # locate the smallest nonzero entry in the remaining block
-        bi = bj = -1
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0 and (bi < 0 or abs(a[i][j]) < abs(a[bi][bj])):
-                    bi, bj = i, j
-        if bi < 0:
-            break
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        while True:
-            # clear column
-            again = False
-            for i in range(top + 1, m):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        again = True
-            if again:
-                continue
-            # clear row
-            for j in range(top + 1, n):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        again = True
-            if not again:
-                break
-        piv = abs(a[top][top])
-        # enforce divisibility: fold in any entry the pivot does not divide
-        offender = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
-            continue
-        out.append(piv)
-        top += 1
+    a = row_hnf(M.columns_list(), M.rows)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = row_hnf(list(zip(*a)), len(a))
+    out = [row[i] for i, row in enumerate(a)]
+    for i in range(len(out)):
+        for j in range(i + 1, len(out)):
+            g = gcd(out[i], out[j])
+            out[i], out[j] = g, out[i] * out[j] // g
     for d, e in zip(out, out[1:]):
         if e % d:
             raise ArithsurfError(f"invariant factor chain broken: {d} does not divide {e}")

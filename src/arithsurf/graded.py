@@ -296,6 +296,14 @@ class FreeGraded:
     def piece_dim(self, d: int) -> int:
         return sum(self.piece_dims(d))
 
+    def piece_forms(self, d: int, vec) -> tuple[Form, ...]:
+        """Split a vector of the degree-d piece into one form per summand."""
+        out, off = [], 0
+        for a, dim in zip(self.twists, self.piece_dims(d)):
+            out.append(Form(a + d, tuple(vec[off : off + dim])))
+            off += dim
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class GradedMap:

@@ -50,13 +50,18 @@ from .graded import (
 )
 from .hirzebruch import NormalForm, bundle_from_normal_form, equation_string
 from .transforms import (
-    FiberQuotient,
     apply_full,
     blowup_factorization,
     default_surjection,
     prescribed_types,
     restricted_quotient,
 )
+
+# Sizes of the randomized criteria; each draws its inputs from a fixed seed.
+_CRITERION_2_COUNT = 100
+_CRITERION_5_COUNT = 200
+_CRITERION_6_SWEEP = 10_000
+_CRITERION_8_COUNT = 50
 
 
 @dataclass
@@ -293,13 +298,13 @@ def _random_surjection(rng, p, n, ni):
             return (g, h)
 
 
-def criterion_2(count: int = 100) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Parity and 2h^0 identities on randomized prescribed-types bundles."""
     t0 = time.monotonic()
     rng = random.Random(0xA11CE)
     primes = [2, 3, 5, 7, 11, 13]
     violations = []
-    for trial in range(count):
+    for trial in range(_CRITERION_2_COUNT):
         n = rng.randint(0, 3)
         r = rng.randint(1, 2)
         ps = rng.sample(primes, r)
@@ -325,10 +330,10 @@ def criterion_2(count: int = 100) -> CriterionResult:
     seconds = time.monotonic() - t0
     return CriterionResult(
         2,
-        f"parity and 2h^0 identities on {count} randomized bundles",
+        f"parity and 2h^0 identities on {_CRITERION_2_COUNT} randomized bundles",
         not violations,
         seconds,
-        {"violations": violations, "count": count},
+        {"violations": violations, "count": _CRITERION_2_COUNT},
     )
 
 
@@ -402,13 +407,13 @@ def nf_presentation(m):
     )
 
 
-def criterion_5(count: int = 200) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Stabilized h^0 equals the brute-force solver on random presentations."""
     t0 = time.monotonic()
     rng = random.Random(0x5EC7)
     bases = [None, 2, 3, 5, 13]
     mismatches = []
-    for trial in range(count):
+    for trial in range(_CRITERION_5_COUNT):
         gens = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 3)))
         P = free_presentation(gens)
         if rng.random() < 0.75:
@@ -429,14 +434,14 @@ def criterion_5(count: int = 200) -> CriterionResult:
                 )
     return CriterionResult(
         5,
-        f"h^0 oracle equivalence on {count} randomized presentations",
+        f"h^0 oracle equivalence on {_CRITERION_5_COUNT} randomized presentations",
         not mismatches,
         time.monotonic() - t0,
-        {"mismatches": mismatches, "count": count},
+        {"mismatches": mismatches, "count": _CRITERION_5_COUNT},
     )
 
 
-def criterion_6(sweep: int = 10_000) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Del Pezzo classification, witnesses, and the five-point sweep."""
     t0 = time.monotonic()
     failures = []
@@ -469,7 +474,7 @@ def criterion_6(sweep: int = 10_000) -> CriterionResult:
                 failures.append({"case": f"five points {fifth}", "witness": w and w.to_json()})
     rng = random.Random(0xDE1)
     passes = 0
-    for _ in range(sweep):
+    for _ in range(_CRITERION_6_SWEEP):
         pts = []
         while len(pts) < 5:
             try:
@@ -486,10 +491,10 @@ def criterion_6(sweep: int = 10_000) -> CriterionResult:
         failures.append({"five_point_passes": passes})
     return CriterionResult(
         6,
-        f"del Pezzo classification and {sweep}-configuration sweep",
+        f"del Pezzo classification and {_CRITERION_6_SWEEP}-configuration sweep",
         not failures,
         time.monotonic() - t0,
-        {"failures": failures, "sweep": sweep},
+        {"failures": failures, "sweep": _CRITERION_6_SWEEP},
     )
 
 
@@ -521,7 +526,7 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def criterion_8(count: int = 50) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Transformation locality plus blow-up record round-trips."""
     import json as _json
 
@@ -531,7 +536,7 @@ def criterion_8(count: int = 50) -> CriterionResult:
     rng = random.Random(0xFAC7)
     primes = [2, 3, 5, 7, 11, 13]
     failures = []
-    for trial in range(count):
+    for trial in range(_CRITERION_8_COUNT):
         n = rng.randint(0, 2)
         split = bundle_handle(free_presentation((-1, -n - 1)))
         pre_jump = None
@@ -568,10 +573,10 @@ def criterion_8(count: int = 50) -> CriterionResult:
             failures.append({"trial": trial, "reason": "center degrees"})
     return CriterionResult(
         8,
-        f"locality and factorization records on {count} randomized applies",
+        f"locality and factorization records on {_CRITERION_8_COUNT} randomized applies",
         not failures,
         time.monotonic() - t0,
-        {"failures": failures, "count": count},
+        {"failures": failures, "count": _CRITERION_8_COUNT},
     )
 
 

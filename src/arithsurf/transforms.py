@@ -59,11 +59,14 @@ from .errors import (
     UnsupportedCenter,
     schema_checked,
 )
-from .exactlat import IntegerMatrix, is_prime, kernel_mod, rank_mod, rref_mod
+from .exactlat import is_prime, kernel_mod, rank_mod, rref_mod
 from .graded import (
     Form,
+    FreeGraded,
+    GradedMap,
     GradedPresentation,
     cokernel_presentation,
+    degree_piece,
     free_presentation,
     minimize_presentation,
 )
@@ -172,29 +175,14 @@ def validate_quotient(B: BundleHandle, q: FiberQuotient) -> dict:
             raise DegreeMismatch(
                 f"row does not descend to the cokernel at relation {j}"
             )
-    # the fiber map at twist d lands in degree m + d = 2 delta + 2
+    # the fiber map, the row's degree piece at twist d, lands in degree
+    # m + d = 2 delta + 2
     delta = max((f.degree for f in q.row if f.degree >= 0), default=0)
     d = -q.m + 2 * delta + 2
-    if rank_mod(_fiber_map_matrix(P, q, d), q.p) < q.m + d + 1:
+    row = GradedMap(P.generators, FreeGraded((q.m,)), (q.row,))
+    if rank_mod(degree_piece(row, d), q.p) < q.m + d + 1:
         raise NotSurjective(f"cokernel piece still nonzero at degree {d}", degree=d)
     return {"ok": True, "criterion": "cokernel-vanishes", "degree": d}
-
-
-def _fiber_map_matrix(P: GradedPresentation, q: FiberQuotient, d: int) -> IntegerMatrix:
-    """Matrix of the fiber map on generator pieces at twist d, over Z."""
-    twists = P.map.target.twists
-    dims = P.generators.piece_dims(d)
-    target = q.m + d + 1
-    rows = [[0] * sum(dims) for _ in range(max(0, target))]
-    off = 0
-    for f, a, dim in zip(q.row, twists, dims):
-        s = a + d
-        if dim > 0 and f.degree >= 0:
-            for k in range(dim):
-                for t, c in enumerate(f.coeffs):
-                    rows[t + k][off + k] = c
-        off += dim
-    return IntegerMatrix.from_rows(rows, cols=sum(dims))
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +197,6 @@ def _coords(forms) -> list[int]:
     return [c for f in forms for c in f.coeffs]
 
 
-def _forms(twists, d: int, vec) -> tuple[Form, ...]:
-    """Split a coordinate vector at twist d into one form per generator."""
-    out, off = [], 0
-    for a in twists:
-        dim = max(0, a + d + 1)
-        out.append(Form(a + d, tuple(vec[off : off + dim])))
-        off += dim
-    return tuple(out)
-
-
 def _row_syzygies(P: GradedPresentation, q: FiberQuotient) -> list[tuple[int, tuple[Form, ...]]]:
     """Free basis of the syzygies of the row mod p, as (twist d, forms) pairs.
 
@@ -227,25 +205,25 @@ def _row_syzygies(P: GradedPresentation, q: FiberQuotient) -> list[tuple[int, tu
     exactly g-1 generators, at twists d_j >= -max(a_i) with
     sum(d_j) = m - sum(a_i), hence each d_j <= m - sum(a_i) + (g-2) max(a_i).
     Degree by degree the scan keeps the kernel vectors outside x0 K + x1 K,
-    K the kernel one twist lower, and stops once it holds g-1 of them.
+    K the kernel one twist lower: one reduction mod p of the columns
+    [x0 K, x1 K | kernel] picks them as its pivot columns in the kernel
+    block.  It stops once it holds g-1 of them.
     """
     twists = P.generators.twists
     g, top = len(twists), max(twists)
     bound = q.m - sum(twists) + (g - 2) * top
+    row = GradedMap(P.generators, FreeGraded((q.m,)), (q.row,))
     found: list[tuple[int, tuple[Form, ...]]] = []
     below: list[tuple[Form, ...]] = []
     for d in range(-top, bound + 1):
         if len(found) == g - 1:
             break
-        dim = P.generators.piece_dim(d)
-        kernel = [_forms(twists, d, v) for v in kernel_mod(_fiber_map_matrix(P, q, d), q.p)]
-        carried = [_coords(f.mul(x) for f in s) for s in below for x in _X]
-        span, _ = rref_mod(carried, dim, q.p)
-        for s in kernel:
-            grown, _ = rref_mod(span + [_coords(s)], dim, q.p)
-            if len(grown) > len(span):
-                span = grown
-                found.append((d, s))
+        kernel = [P.generators.piece_forms(d, v) for v in kernel_mod(degree_piece(row, d), q.p)]
+        columns = [_coords(f.mul(x) for f in s) for s in below for x in _X]
+        carried = len(columns)
+        columns += [_coords(s) for s in kernel]
+        _, pivots = rref_mod([list(t) for t in zip(*columns)], len(columns), q.p)
+        found += [(d, kernel[c - carried]) for c in pivots if c >= carried]
         below = kernel
     if len(found) != g - 1:
         raise ProfileInconsistent(

@@ -2,7 +2,13 @@ import json
 
 import pytest
 
-from arithsurf.cli import main
+from arithsurf.cli import (
+    _MAX_GENERIC_TYPE,
+    _MAX_JUMP_HEIGHT,
+    _MAX_NORMAL_FORM_N,
+    _MAX_PRIMES_UP_TO,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +216,58 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bundle", "build", "--no-such-flag"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, expect",
+    [
+        (
+            ["surface", "normal-form", "-n", "2"], ["-f", "-5*x0*x1"],
+            lambda doc: doc["equation"] == "x0^2*y0 + x1^2*y1 - 5*x0*x1*y2 = 0",
+        ),
+        (
+            ["delpezzo", "check"], ["--points", "-1:2:3,0:1:0"],
+            lambda doc: doc["points"] == ["1:-2:-3", "0:1:0"] and doc["verdict"]["ok"],
+        ),
+        (
+            ["transform", "apply", "--generic-type", "0", "--prime", "3", "--twist", "0", "--h", "x1"],
+            ["--g", "-x0"],
+            lambda doc: doc["quotient"]["g"]["coeffs"] == ["2", "0"],
+        ),
+        (
+            ["bundle", "build", "--generic-type", "0"], ["--jump", "-2:1"],
+            lambda doc: doc["error"] == "CompositeModulus",
+        ),
+    ],
+)
+def test_option_values_may_begin_with_minus(capsys, argv, flag, expect):
+    # the token after a value-taking option is its value, as in flag=value
+    code, doc = run_cli(capsys, *argv, *flag)
+    assert (code, doc) == run_cli(capsys, *argv, "=".join(flag))
+    assert code in (0, 2) and expect(doc)
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["bundle", "build", "--generic-type", "{}"], _MAX_GENERIC_TYPE),
+        (["bundle", "build", "--generic-type", "0", "--jump", "2:{}"], _MAX_JUMP_HEIGHT),
+        (["bundle", "profile", "-n", "{}", "-f", "0"], _MAX_NORMAL_FORM_N),
+        (["surface", "normal-form", "-n", "{}"], _MAX_NORMAL_FORM_N),
+        (["bundle", "profile", "--generic-type", "0", "--primes-up-to", "{}"], _MAX_PRIMES_UP_TO),
+    ],
+)
+def test_sizes_past_their_limit_are_usage_errors(capsys, argv, limit):
+    code, doc = run_cli(capsys, *(a.format(limit) for a in argv))
+    assert code == 0 and "error" not in doc
+    try:
+        code = main([a.format(limit + 1) for a in argv])
+    except SystemExit as exc:  # refused by the argument parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert f"{limit + 1} exceeds the limit {limit}" in captured.err
 
 
 def test_determinism(capsys):

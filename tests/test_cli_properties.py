@@ -4,8 +4,8 @@ Every argv gets exit 0 (one JSON document on stdout), exit 2 (one JSON
 document naming the domain error) or exit 1 (a ``usage error:`` line on
 stderr and nothing on stdout); no argv raises.  Sizes stay small (|n| <= 6,
 jump heights <= 6, primes and audit bounds <= 50) so each example runs in
-well under a second.  Values are passed as ``--g=TEXT``, since argparse
-reads a separate value with a leading minus sign as an option.
+well under a second.  Values are passed both as ``--g TEXT`` and as
+``--g=TEXT``; either way a value may begin with a minus sign.
 """
 
 import contextlib
@@ -24,6 +24,11 @@ PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 PRIME_LIKE = st.one_of(st.sampled_from(PRIMES), st.integers(-2, 50))
 COEFF = st.sampled_from([1, -1, 0, 2, -3, 5])
 JUNK = st.sampled_from(["", "x", "1:", "::", "x2", "x0^", "1/2", "x0+", "*x1", "a:b:c", "0:0:0"])
+
+
+def option(draw, flag, value):
+    """The flag and its value, as one token ``flag=value`` or as two."""
+    return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
 
 
 @st.composite
@@ -59,13 +64,13 @@ def bundle_input(draw, files):
         n = draw(DEGREE)
         argv += ["--generic-type", str(n)]
         for p, ni in draw(st.lists(st.tuples(PRIME_LIKE, st.integers(-1, 6)), max_size=3)):
-            argv += ["--jump=" + (f"{p}:{ni}" if draw(st.integers(0, 9)) < 9 else draw(JUNK))]
+            argv += option(draw, "--jump", f"{p}:{ni}" if draw(st.integers(0, 9)) < 9 else draw(JUNK))
         twists = (-1, -n - 1)
     if kind == "normal":
         n = draw(DEGREE)
         argv += ["-n", str(n)]
         if draw(st.booleans()):
-            argv += ["-f=" + draw(forms(n))]
+            argv += option(draw, "-f", draw(forms(n)))
         twists = (0, 0, 0)
     return argv, twists
 
@@ -90,15 +95,17 @@ def cli_argv(draw, files, outputs):
         argv += ["--prime", str(draw(PRIME_LIKE)), "--twist", str(m)]
         row = [draw(forms(m - t)) for t in twists]
         if draw(st.booleans()):
-            argv += ["--row=" + ";".join(row)]
+            argv += option(draw, "--row", ";".join(row))
         else:
-            argv += ["--g=" + row[0], "--h=" + row[1]][: draw(st.sampled_from([2, 2, 2, 1]))]
+            argv += option(draw, "--g", row[0])
+            if draw(st.sampled_from([True, True, True, False])):
+                argv += option(draw, "--h", row[1])
     elif command == "surface":
         n = draw(DEGREE)
-        argv = ["surface", "normal-form", "-n", str(n), "-f=" + draw(forms(n))]
+        argv = ["surface", "normal-form", "-n", str(n), *option(draw, "-f", draw(forms(n)))]
         argv += [flag for flag in ("--reduce", "--certify") if draw(st.booleans())]
     else:
-        argv = ["delpezzo", draw(st.sampled_from(["check", "classify"])), "--points=" + draw(points())]
+        argv = ["delpezzo", draw(st.sampled_from(["check", "classify"])), *option(draw, "--points", draw(points()))]
     if draw(st.booleans()):
         argv += ["--output", draw(st.sampled_from(outputs))]
     return argv

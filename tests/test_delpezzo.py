@@ -19,6 +19,7 @@ from arithsurf.delpezzo import (
     standardize,
 )
 from arithsurf.errors import NotGeneralPosition, TooManyPoints
+from arithsurf.exactlat import IntegerMatrix, determinant
 
 from oracles import cofactor_det
 
@@ -110,7 +111,7 @@ def test_general_position_torus_mod2_collision():
 def test_standardize_identity_case():
     std = standardize(config(E1, E2, E3, TORUS_POINT))
     assert std.standard.to_json() == ["1:0:0", "0:1:0", "0:0:1", "1:1:1"]
-    assert std.transform == __import__("arithsurf.exactlat", fromlist=["IntegerMatrix"]).IntegerMatrix.identity(3)
+    assert std.transform == IntegerMatrix.identity(3)
 
 
 def test_standardize_nontrivial_four():
@@ -124,8 +125,35 @@ def test_standardize_nontrivial_four():
         assert v.witnesses
 
 
+def _random_gl3(rng):
+    """A product of elementary matrices and sign changes: an element of GL_3(Z)."""
+    U = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        k = rng.randint(-3, 3)
+        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
+        if rng.random() < 0.3:
+            U[i] = [-a for a in U[i]]
+    return U
+
+
 def test_standardize_idempotent_and_randomized_torus():
+    # GL_3(Z) images of the first r standard points, r = 0..4
     rng = random.Random(101)
+    frame = [E1, E2, E3, TORUS_POINT]
+    for r in range(5):
+        for _ in range(40):
+            U = IntegerMatrix.from_rows(_random_gl3(rng))
+            c = PointConfiguration.make([U.mul_vec(s.coords()) for s in frame[:r]])
+            std = standardize(c)
+            assert abs(determinant(std.transform)) == 1
+            for p, s in zip(c.points, frame):
+                image = std.transform.mul_vec(p.coords())
+                assert image in (s.coords(), tuple(-x for x in s.coords()))
+            assert std.standard.points == tuple(frame[:r])
+            again = standardize(std.standard)
+            assert again.standard == std.standard
+            assert again.transform == IntegerMatrix.identity(3)
     found = 0
     for _ in range(200):
         pts = [E1, E2, E3]

@@ -114,11 +114,17 @@ def test_smith_randomized_invariants(seed):
         assert drop == (prod % p == 0)
 
 
-@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("seed", range(60))
 def test_smith_matches_determinantal_divisors(seed):
     rng = random.Random(900 + seed)
-    r, c = rng.randint(1, 4), rng.randint(1, 6)
+    r, c = rng.randint(1, 5), rng.randint(1, 8)
     rows = [[rng.choice((0, rng.randint(-12, 12))) for _ in range(c)] for _ in range(r)]
+    if seed % 3 == 1:
+        rows[rng.randrange(r)] = [0] * c
+    elif seed % 3 == 2:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
     assert smith_invariants(M(rows)) == determinantal_invariants(rows)
 
 

@@ -1,4 +1,5 @@
-"""The runtime imports only the standard library and reads no environment.
+"""The runtime imports only the standard library, reads no environment and
+imports nothing at module level that it does not use.
 
 Every module of the package is parsed, not imported, so the check also
 covers imports that sit inside functions.  The CLI module imports no layer
@@ -66,3 +67,19 @@ def test_cli_module_level_imports_are_stdlib_version_and_errors():
             if name.split(".")[0] not in sys.stdlib_module_names
         ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update({alias.asname or alias.name.split(".")[0]: node.lineno for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_level_imports_are_used(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
