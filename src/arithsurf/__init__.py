@@ -34,7 +34,7 @@ _PUBLIC = {
         "minus_one_classes", "standardize",
     ),
     "errors": ("ArithsurfError",),
-    "exactlat": ("IntegerMatrix", "LatticeBasis", "kernel_lattice", "rank_over", "smith_invariants"),
+    "exactlat": ("IntegerMatrix", "LatticeBasis", "kernel_lattice", "smith_invariants"),
     "graded": (
         "GF", "QQ", "ZZ", "Form", "FreeGraded", "GradedMap", "GradedPresentation",
         "cokernel_presentation", "degree_piece", "free_presentation", "monomial_basis",

@@ -36,15 +36,26 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         # The token after an option that takes a value is that value, even
         # when it begins with "-" (a form or a point with a negative entry).
-        takes_value = {s for a in self._actions if a.nargs is None for s in a.option_strings}
         args = list(sys.argv[1:] if args is None else args)
         out = []
         while args:
             token = args.pop(0)
-            if token in takes_value and args and args[0].startswith("-"):
+            if args and args[0].startswith("-") and self._takes_value(token):
                 token = f"{token}={args.pop(0)}"
             out.append(token)
         return super().parse_known_args(out, namespace)
+
+    def _takes_value(self, token: str) -> bool:
+        """Whether ``token`` names an option that takes one value: exactly,
+        or as a long-option prefix that argparse resolves to a single option
+        string (an ambiguous prefix is left to argparse's usage error)."""
+        actions = self._option_string_actions
+        if token in actions:
+            return actions[token].nargs is None
+        if not token.startswith("--"):
+            return False
+        matches = [a for s, a in actions.items() if s.startswith(token)]
+        return len(matches) == 1 and matches[0].nargs is None
 
 
 def _int_at_most(limit: int):

@@ -7,7 +7,10 @@ elements with x1^e * u = x0^e * v, i.e. a homomorphism from the ideal
 stabilization is accepted after two consecutive stable transitions (three
 equal dimensions with both induced maps identifying the section lattices),
 counted from the structural floor where every piece is live.  A hard cap,
-the twist span plus |d| plus a fixed margin of 4, bounds the scan.
+the twist span plus |d| plus a fixed margin of 4, bounds the scan.  The
+memo per presentation and twist keeps only the answer, a ``SectionCount``
+of three integers (d, e, dim); the lattices or F_p spans of each pair space
+live only while its scan runs.
 
 Rank and degree are not read from sections: ker(phi) is a free module on
 the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
@@ -189,8 +192,18 @@ def _push_compatible(P: GradedPresentation, prev: PairSpace, cur: PairSpace) -> 
     return combined == cur.K
 
 
+@dataclass(frozen=True)
+class SectionCount:
+    """What the memo keeps of a stabilized pair space: the twist, the
+    exponent at which the scan accepted it and the rank of H^0 there."""
+
+    d: int
+    e: int
+    dim: int
+
+
 @lru_cache(maxsize=None)
-def _section_space_cached(P: GradedPresentation, d: int) -> PairSpace:
+def _section_space_cached(P: GradedPresentation, d: int) -> SectionCount:
     # Accept only after two consecutive stable transitions past the floor:
     # a single dimension plateau with one compatible step can still grow
     # afterwards (sections whose chart denominators need a larger exponent).
@@ -205,15 +218,17 @@ def _section_space_cached(P: GradedPresentation, d: int) -> PairSpace:
             and _push_compatible(P, prev, cur)
         )
         if prev2 is not None and compat_prev and compat_cur and prev2.dim == cur.dim:
-            return cur
+            return SectionCount(d, cur.e, cur.dim)
         prev2, prev, compat_prev = prev, cur, compat_cur
     raise WindowExhausted(
         f"section space at twist {d} did not stabilize below exponent {cap}"
     )
 
 
-def section_space(P: GradedPresentation, d: int) -> PairSpace:
-    """Stabilized pair space of sections of M~(d); cached."""
+def section_space(P: GradedPresentation, d: int) -> SectionCount:
+    """Twist, stabilization exponent and dimension of the stabilized pair
+    space of M~(d).  Only these three integers are memoized; the spans of
+    every pair space are dropped when the scan returns."""
     return _section_space_cached(P, d)
 
 

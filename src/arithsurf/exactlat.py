@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ArithsurfError, CompositeModulus, schema_checked
+from .errors import ArithsurfError, schema_checked
 
 Vec = tuple[int, ...]
 
@@ -311,18 +311,6 @@ class LatticeBasis:
             raise ValueError("vector not in lattice")
         return coords
 
-    def contains(self, v) -> bool:
-        try:
-            self.express(v)
-            return True
-        except ValueError:
-            return False
-
-    def sum(self, other: "LatticeBasis") -> "LatticeBasis":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return LatticeBasis.from_vectors(self.ambient, self.vectors() + other.vectors())
-
     def to_json(self) -> dict:
         return {"ambient": self.ambient, "basis": self.matrix.to_json()}
 
@@ -428,20 +416,6 @@ def kernel_mod(M: IntegerMatrix, p: int) -> list[Vec]:
             v[pc] = (-rows[r][fc]) % p
         basis.append(tuple(v))
     return basis
-
-
-def rank_over(M: IntegerMatrix, base) -> int:
-    """Rank of ``M`` over the rationals or over a prime field.
-
-    ``base`` may be the string ``"QQ"`` (or ``"ZZ"``) or a prime integer.
-    Composite moduli are rejected.
-    """
-    if base in ("QQ", "ZZ"):
-        return rank_of(M)
-    p = int(base)
-    if not is_prime(p):
-        raise CompositeModulus(f"{p} is not prime")
-    return rank_mod(M, p)
 
 
 # ---------------------------------------------------------------------------

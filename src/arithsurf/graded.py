@@ -370,7 +370,12 @@ def _mult_block(f: Form, s: int) -> list[list[int]]:
     return rows
 
 
-@lru_cache(maxsize=None)
+# All reuse of a degree piece comes from one scan and the twists next to it,
+# so a small fixed bound keeps nearly every hit of an unbounded cache.
+_DEGREE_PIECE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_DEGREE_PIECE_CACHE_SIZE)
 def degree_piece(phi: GradedMap, d: int) -> IntegerMatrix:
     """Matrix of a graded map on degree-d pieces in monomial_basis order."""
     tdims = phi.target.piece_dims(d)

@@ -37,12 +37,15 @@ from arithsurf.cohomology import (
     sheaf_rank_degree,
     shift_pair_vector,
 )
-from arithsurf.errors import NotLocallyFree, ProfileInconsistent, WindowExhausted
+from arithsurf.errors import CompositeModulus, NotLocallyFree, ProfileInconsistent, WindowExhausted
 from arithsurf.exactlat import (
     IntegerMatrix,
     LatticeBasis,
+    is_prime,
     kernel_lattice,
     kernel_mod,
+    rank_mod,
+    rank_of,
     span_lattice,
 )
 from arithsurf.graded import Form, FreeGraded, GradedMap, GradedPresentation
@@ -287,6 +290,38 @@ def _mod_p_left_kernel(vectors, p):
     for i, pc in enumerate(piv):
         combo[pc] = (-a[i][fc]) % p
     return combo
+
+
+# ---------------------------------------------------------------------------
+# lattice membership and sums; rank over a named base
+
+
+def lattice_contains(L: LatticeBasis, v) -> bool:
+    try:
+        L.express(v)
+        return True
+    except ValueError:
+        return False
+
+
+def lattice_sum(L: LatticeBasis, other: LatticeBasis) -> LatticeBasis:
+    if L.ambient != other.ambient:
+        raise ValueError("ambient dimension mismatch")
+    return LatticeBasis.from_vectors(L.ambient, L.vectors() + other.vectors())
+
+
+def rank_over(M: IntegerMatrix, base) -> int:
+    """Rank of ``M`` over the rationals or over a prime field.
+
+    ``base`` may be the string ``"QQ"`` (or ``"ZZ"``) or a prime integer.
+    Composite moduli are rejected.
+    """
+    if base in ("QQ", "ZZ"):
+        return rank_of(M)
+    p = int(base)
+    if not is_prime(p):
+        raise CompositeModulus(f"{p} is not prime")
+    return rank_mod(M, p)
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +936,7 @@ def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
         kernel = _kernel_piece(P, q, d, fam.exponent, piece.K)
         tvecs = [tuple(q.p * c for c in v) for v in piece.K.vectors()]
         tvecs += piece.B.vectors()
-        _, orders = quotient_group_data(kernel.sum(piece.B), tvecs)
+        _, orders = quotient_group_data(lattice_sum(kernel, piece.B), tvecs)
         if any(o != 0 and o != q.p for o in orders):
             raise ProfileInconsistent("kernel quotient is not an F_p space")
         dims.append((d, sum(1 for o in orders if o == q.p)))

@@ -7,6 +7,7 @@ from arithsurf.cli import (
     _MAX_JUMP_HEIGHT,
     _MAX_NORMAL_FORM_N,
     _MAX_PRIMES_UP_TO,
+    _Parser,
     main,
 )
 
@@ -230,6 +231,10 @@ def test_usage_error_exit_code(capsys):
             lambda doc: doc["points"] == ["1:-2:-3", "0:1:0"] and doc["verdict"]["ok"],
         ),
         (
+            ["delpezzo", "check"], ["--poi", "-1:2:3,0:1:0"],
+            lambda doc: doc["points"] == ["1:-2:-3", "0:1:0"] and doc["verdict"]["ok"],
+        ),
+        (
             ["transform", "apply", "--generic-type", "0", "--prime", "3", "--twist", "0", "--h", "x1"],
             ["--g", "-x0"],
             lambda doc: doc["quotient"]["g"]["coeffs"] == ["2", "0"],
@@ -245,6 +250,40 @@ def test_option_values_may_begin_with_minus(capsys, argv, flag, expect):
     code, doc = run_cli(capsys, *argv, *flag)
     assert (code, doc) == run_cli(capsys, *argv, "=".join(flag))
     assert code in (0, 2) and expect(doc)
+
+
+@pytest.mark.parametrize(
+    "full, abbreviated",
+    [
+        (
+            ["delpezzo", "check", "--points", "-1:2:3,0:1:0"],
+            ["delpezzo", "check", "--poi", "-1:2:3,0:1:0"],
+        ),
+        (
+            ["bundle", "profile", "--generic-type", "0", "--jump", "-2:1", "--primes-up-to", "5"],
+            ["bundle", "profile", "--gen", "0", "--ju", "-2:1", "--pri", "5"],
+        ),
+        (
+            ["transform", "apply", "--generic-type", "0", "--prime", "3", "--twist", "-1", "--row", "-1;0"],
+            ["transform", "apply", "--ge", "0", "--pr", "3", "--tw", "-1", "--ro", "-1;0"],
+        ),
+    ],
+)
+def test_unique_prefixes_of_long_options_take_minus_values(capsys, full, abbreviated):
+    code, doc = run_cli(capsys, *full)
+    assert code in (0, 2)
+    assert (code, doc) == run_cli(capsys, *abbreviated)
+
+
+def test_ambiguous_prefix_is_a_usage_error(capsys):
+    parser = _Parser(prog="probe")
+    parser.add_argument("--prime")
+    parser.add_argument("--primes-up-to")
+    assert parser.parse_args(["--primes", "-3"]).primes_up_to == "-3"
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["--pri", "-3"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage error: ambiguous option: --pri could match")
 
 
 @pytest.mark.parametrize(

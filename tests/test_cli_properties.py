@@ -5,9 +5,12 @@ document naming the domain error) or exit 1 (a ``usage error:`` line on
 stderr and nothing on stdout); no argv raises.  Sizes stay small (|n| <= 6,
 jump heights <= 6, primes and audit bounds <= 50) so each example runs in
 well under a second.  Values are passed both as ``--g TEXT`` and as
-``--g=TEXT``; either way a value may begin with a minus sign.
+``--g=TEXT``; either way a value may begin with a minus sign.  Long option
+names are also drawn as any prefix that no other long option of the CLI
+shares, which argparse resolves to the full name.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arithsurf.cli import main
+from arithsurf.cli import build_parser, main
 
 SMALL = st.integers(-6, 6)
 DEGREE = st.integers(-1, 6)
@@ -26,8 +29,36 @@ COEFF = st.sampled_from([1, -1, 0, 2, -3, 5])
 JUNK = st.sampled_from(["", "x", "1:", "::", "x2", "x0^", "1/2", "x0+", "*x1", "a:b:c", "0:0:0"])
 
 
+def _long_options(parser) -> set[str]:
+    found = set()
+    for action in parser._actions:
+        found.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _long_options(sub)
+    return found
+
+
+LONG_OPTIONS = _long_options(build_parser())
+
+
+def _shortest_unique_prefix(flag: str) -> str:
+    for k in range(3, len(flag)):
+        if [o for o in LONG_OPTIONS if o.startswith(flag[:k])] == [flag]:
+            return flag[:k]
+    return flag
+
+
+def name(draw, flag):
+    """A long flag in full or as a prefix no other long option shares."""
+    if not flag.startswith("--"):
+        return flag
+    return flag[: draw(st.integers(len(_shortest_unique_prefix(flag)), len(flag)))]
+
+
 def option(draw, flag, value):
     """The flag and its value, as one token ``flag=value`` or as two."""
+    flag = name(draw, flag)
     return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
 
 
@@ -59,10 +90,10 @@ def bundle_input(draw, files):
     kind = draw(st.sampled_from(["generic", "bundle", "normal", "none", "both"]))
     argv, twists = [], (0, 0)
     if kind in ("bundle", "both"):
-        argv += ["--bundle", draw(st.sampled_from(files))]
+        argv += option(draw, "--bundle", draw(st.sampled_from(files)))
     if kind in ("generic", "both"):
         n = draw(DEGREE)
-        argv += ["--generic-type", str(n)]
+        argv += [name(draw, "--generic-type"), str(n)]
         for p, ni in draw(st.lists(st.tuples(PRIME_LIKE, st.integers(-1, 6)), max_size=3)):
             argv += option(draw, "--jump", f"{p}:{ni}" if draw(st.integers(0, 9)) < 9 else draw(JUNK))
         twists = (-1, -n - 1)
@@ -81,18 +112,18 @@ def cli_argv(draw, files, outputs):
     if command == "selftest":
         argv = ["selftest"]
         for n in draw(st.lists(st.sampled_from([-1, 0, 3, 7, 9, 99]), min_size=1, max_size=2)):
-            argv += ["--only", str(n)]
+            argv += [name(draw, "--only"), str(n)]
         return argv
     if command == "bundle":
         argv = ["bundle", draw(st.sampled_from(["build", "profile", "check"]))]
         argv += draw(bundle_input(files))[0]
         if draw(st.booleans()):
-            argv += ["--primes-up-to", str(draw(PRIME_LIKE))]
+            argv += [name(draw, "--primes-up-to"), str(draw(PRIME_LIKE))]
     elif command == "transform":
         source, twists = draw(bundle_input(files))
         m = draw(st.integers(-2, 4))
         argv = ["transform", draw(st.sampled_from(["apply", "factorize"])), *source]
-        argv += ["--prime", str(draw(PRIME_LIKE)), "--twist", str(m)]
+        argv += [name(draw, "--prime"), str(draw(PRIME_LIKE)), name(draw, "--twist"), str(m)]
         row = [draw(forms(m - t)) for t in twists]
         if draw(st.booleans()):
             argv += option(draw, "--row", ";".join(row))
@@ -103,11 +134,11 @@ def cli_argv(draw, files, outputs):
     elif command == "surface":
         n = draw(DEGREE)
         argv = ["surface", "normal-form", "-n", str(n), *option(draw, "-f", draw(forms(n)))]
-        argv += [flag for flag in ("--reduce", "--certify") if draw(st.booleans())]
+        argv += [name(draw, flag) for flag in ("--reduce", "--certify") if draw(st.booleans())]
     else:
         argv = ["delpezzo", draw(st.sampled_from(["check", "classify"])), *option(draw, "--points", draw(points()))]
     if draw(st.booleans()):
-        argv += ["--output", draw(st.sampled_from(outputs))]
+        argv += option(draw, "--output", draw(st.sampled_from(outputs)))
     return argv
 
 

@@ -1,13 +1,17 @@
+import gc
 import random
 
 import pytest
 
 from arithsurf import cohomology
 from arithsurf.cohomology import (
+    PairSpace,
+    SectionCount,
     h0_dim,
     h1,
     section_space,
     sheaf_rank_degree,
+    stabilization_floor,
 )
 from arithsurf.graded import (
     GF,
@@ -24,7 +28,9 @@ from arithsurf.graded import (
 from arithsurf.selftest import oracle_h0
 from arithsurf.transforms import prescribed_types
 from oracles import (
+    lattice_contains,
     lattice_family,
+    lattice_sum,
     presentation_from_sections,
     probe_rank_degree,
     provider_from_family,
@@ -185,6 +191,32 @@ def test_rank_degree_never_reaches_the_pair_engine(monkeypatch):
     assert expect[0] == expect[2] == (2, 3)
 
 
+def _sweep_cases():
+    nf = normal_form_presentation(3, Form.make(3, (2, -1, 0, 5)))
+    pt = prescribed_types(2, [(2, 1), (3, 2)]).presentation
+    for P in (nf, pt):
+        for Q in [P] + [reduce_mod(P, p) for p in (2, 3, 5, 7, 11)]:
+            yield Q
+
+
+def test_the_section_memo_keeps_no_pair_space():
+    for Q in _sweep_cases():
+        for d in range(-8, 9):
+            assert h0_dim(Q, d) >= 0
+            assert h1(Q, d) >= 0
+    gc.collect()
+    assert [obj for obj in gc.get_objects() if isinstance(obj, PairSpace)] == []
+
+
+def test_section_space_reports_the_h0_count_past_the_floor():
+    for Q in _sweep_cases():
+        for d in range(-4, 5):
+            s = section_space(Q, d)
+            assert type(s) is SectionCount and s.d == d
+            assert s.dim == h0_dim(Q, d)
+            assert s.e >= stabilization_floor(Q, d)
+
+
 def test_h1_line_bundles():
     for n in range(-1, 4):
         assert h1(line_bundle(n), 0) == 0
@@ -266,7 +298,7 @@ def test_lattice_family_split():
         m = fam.mult_matrix(0, var)
         for v in pc0.K.vectors():
             w = m.mul_vec(v)
-            assert pc1.K.sum(pc1.B).contains(w)
+            assert lattice_contains(lattice_sum(pc1.K, pc1.B), w)
 
 
 def test_lattice_family_ranks_match_h0():

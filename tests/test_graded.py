@@ -70,6 +70,17 @@ def test_degree_piece_column_stacks_coefficients():
     assert piece.column(0) == (1, 0, 0, 0, 0, 1, 0, 5, 0)
 
 
+def test_degree_piece_cache_is_bounded_and_evictions_recompute():
+    phi = normal_form_presentation(3, Form.make(3, (2, -1, 0, 5))).map
+    bound = degree_piece.cache_info().maxsize
+    assert bound == 64
+    twists = range(bound + 16)
+    first = [degree_piece(phi, d) for d in twists]
+    assert degree_piece.cache_info().currsize <= bound
+    for d in twists[:8]:
+        assert degree_piece(phi, d) == first[d] == degree_piece.__wrapped__(phi, d)
+
+
 def test_degree_piece_composition():
     # multiplication maps compose: x1 then x0 equals x0*x1 in one step
     a = map_from_columns((0,), [(-1, [Form.monomial(1, 1)])])  # x1: O(-1)->O

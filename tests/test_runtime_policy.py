@@ -1,5 +1,6 @@
-"""The runtime imports only the standard library, reads no environment and
-imports nothing at module level that it does not use.
+"""The runtime imports only the standard library, reads no environment,
+imports nothing at module level that it does not use, and gives every
+``lru_cache`` an integer bound unless an allowlist names it.
 
 Every module of the package is parsed, not imported, so the check also
 covers imports that sit inside functions.  The CLI module imports no layer
@@ -83,3 +84,75 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_level_imports_are_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+# Unbounded caches whose entries hold fixed-size values: a ring tag, a
+# three-integer section count, a splitting profile.
+UNBOUNDED_CACHE_ALLOWLIST = {"graded.GF", "cohomology._section_space_cached", "bundles._profile_cached"}
+
+
+def _cache_bounds(tree: ast.Module, module: str) -> dict[str, object]:
+    """Qualified function name -> maxsize of each ``lru_cache``/``cache``
+    decorator: an int, or None when unbounded or not a literal integer
+    (a module-level ``NAME = <int>`` counts as one)."""
+    constants = {
+        node.targets[0].id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+    }
+    bounds = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name == "cache":
+                bounds[f"{module}.{node.name}"] = None
+            elif name == "lru_cache":
+                if call is None:
+                    size = 128  # the documented default of a bare @lru_cache
+                else:
+                    arg = next((k.value for k in call.keywords if k.arg == "maxsize"), None)
+                    if arg is None and call.args:
+                        arg = call.args[0]
+                    size = 128 if arg is None else (
+                        constants.get(arg.id) if isinstance(arg, ast.Name) else getattr(arg, "value", None)
+                    )
+                bounds[f"{module}.{node.name}"] = size if type(size) is int else None
+    return bounds
+
+
+def _all_cache_bounds() -> dict[str, object]:
+    bounds = {}
+    for path in SOURCES:
+        bounds.update(_cache_bounds(ast.parse(path.read_text(), str(path)), path.stem))
+    return bounds
+
+
+def test_every_cache_is_bounded_or_allowlisted():
+    unbounded = {name for name, size in _all_cache_bounds().items() if size is None}
+    assert unbounded - UNBOUNDED_CACHE_ALLOWLIST == set()
+
+
+def test_cache_allowlist_names_existing_unbounded_caches():
+    bounds = _all_cache_bounds()
+    assert {name for name in UNBOUNDED_CACHE_ALLOWLIST if bounds.get(name, 0) is None} == UNBOUNDED_CACHE_ALLOWLIST
+
+
+def test_cache_policy_flags_an_unbounded_cache():
+    tree = ast.parse(
+        "from functools import lru_cache, cache\n"
+        "N = 8\n"
+        "@lru_cache(maxsize=None)\ndef a(x): pass\n"
+        "@lru_cache(None)\ndef b(x): pass\n"
+        "@cache\ndef c(x): pass\n"
+        "@lru_cache(maxsize=N)\ndef d(x): pass\n"
+        "@lru_cache\ndef e(x): pass\n"
+        "@lru_cache(maxsize=16)\ndef f(x): pass\n"
+    )
+    assert _cache_bounds(tree, "m") == {"m.a": None, "m.b": None, "m.c": None, "m.d": 8, "m.e": 128, "m.f": 16}
