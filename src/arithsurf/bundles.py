@@ -25,7 +25,6 @@ g the number of generators, must have no common zero on P^1 over Z.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -146,6 +145,8 @@ class BundleHandle:
         return type_profile(self)
 
     def identifier(self) -> str:
+        import hashlib  # maps OpenSSL's libcrypto, so only when an id is asked for
+
         blob = json.dumps(self.presentation.to_json(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

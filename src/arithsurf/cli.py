@@ -2,8 +2,8 @@
 
 Every run emits a single JSON document on stdout; diagnostics go to stderr.
 Exit status is 0 on success, 2 on domain errors (the error name travels in
-the document), and 1 on usage errors.  Identical requests produce
-byte-identical output.
+the document), and 1 on usage errors or when the reader closes stdout
+early.  Identical requests produce byte-identical output.
 
 Each subcommand imports the layers it runs inside its own branch, so a
 fresh process pays only for those.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -77,10 +78,22 @@ def _meta() -> dict:
     return {"tool": "arithsurf", "version": __version__}
 
 
+def _print_document(doc: dict, status: int) -> int:
+    """Print ``doc`` and return ``status``, or 1 if the reader closed stdout."""
+    try:
+        print(json.dumps(doc, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device so that the interpreter's final
+        # flush cannot raise again, and exit with nothing on stderr, as
+        # Python's signal documentation advises.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
 def _emit(payload: dict) -> int:
-    doc = {"meta": _meta(), **payload}
-    print(json.dumps(doc, indent=2))
-    return 0
+    return _print_document({"meta": _meta(), **payload}, 0)
 
 
 def _emit_error(exc: ArithsurfError) -> int:
@@ -91,8 +104,7 @@ def _emit_error(exc: ArithsurfError) -> int:
     degree = getattr(exc, "degree", None)
     if degree is not None:
         doc["degree"] = degree
-    print(json.dumps(doc, indent=2))
-    return 2
+    return _print_document(doc, 2)
 
 
 def _parse_jump(text: str):
@@ -320,8 +332,7 @@ def main(argv=None) -> int:
             payload = _run_delpezzo(args)
         elif args.command == "selftest":
             payload = _run_selftest(args)
-            print(json.dumps({"meta": _meta(), **payload}, indent=2))
-            return 0 if payload["passed"] else 2
+            return _print_document({"meta": _meta(), **payload}, 0 if payload["passed"] else 2)
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")
         _write_output(args, payload)

@@ -10,7 +10,10 @@ counted from the structural floor where every piece is live.  A hard cap,
 the twist span plus |d| plus a fixed margin of 4, bounds the scan.  The
 memo per presentation and twist keeps only the answer, a ``SectionCount``
 of three integers (d, e, dim); the lattices or F_p spans of each pair space
-live only while its scan runs.
+live only while its scan runs.  The relation images B are the pairs
+(phi1 r, 0) and (0, phi1 r), so B = im phi1 + im phi1 in block form; over
+F_p its canonical row echelon form is R + 0 over 0 + R, with R that of the
+columns of phi1 alone, and it is built that way.
 
 Rank and degree are not read from sections: ker(phi) is a free module on
 the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
@@ -158,23 +161,27 @@ def _pair_data(P: GradedPresentation, d: int, e: int) -> PairSpace:
     mu = _mu_matrix(P, d, e)
     phi2 = degree_piece(P.map, d + 2 * e)
     phi1 = degree_piece(P.map, d + e)
-    # B: images of relations, duplicated over the (u, v) components
-    bvecs = []
-    for j in range(phi1.cols):
-        col = phi1.column(j)
-        if any(col):
-            bvecs.append(tuple(col) + (0,) * f)
-            bvecs.append((0,) * f + tuple(col))
     stacked = mu.hstack(phi2) if phi2.cols else mu
     if P.base.kind == "GF":
         p = P.base.char
         kern = kernel_mod(stacked, p)
         proj = [v[: 2 * f] for v in kern]
         K = _fp_span(2 * f, p, proj)
-        B = _fp_span(2 * f, p, bvecs)
+        # B = im phi1 + im phi1, so its RREF is R + 0 over 0 + R, R the RREF
+        # of phi1's columns.
+        R, _ = rref_mod(phi1.columns_list(), f, p)
+        zero = (0,) * f
+        B = FpSpan(2 * f, p, tuple(r + zero for r in R) + tuple(zero + r for r in R))
     else:
         kern = kernel_lattice(stacked)
         proj = [v[: 2 * f] for v in kern.vectors()]
+        # B: images of relations, duplicated over the (u, v) components
+        bvecs = []
+        for j in range(phi1.cols):
+            col = phi1.column(j)
+            if any(col):
+                bvecs.append(tuple(col) + (0,) * f)
+                bvecs.append((0,) * f + tuple(col))
         K = span_lattice(2 * f, proj)
         B = span_lattice(2 * f, bvecs)
     return PairSpace(d, e, f, K, B, K.rank - B.rank)

@@ -17,6 +17,12 @@ each pivot row the entries belonging to earlier columns are reduced into
 Two engines do every elimination: ``_echelon`` (with ``_reduce_above``)
 over Z and ``rref_mod`` over F_p.  Smith invariants come from alternating
 Hermite forms of a matrix and its transpose.
+
+Both engines sweep the columns left to right and rely on one invariant: when
+column c is reached, every row that is not yet a pivot row is zero left of
+c, and so is the row chosen as pivot.  A row operation at column c therefore
+changes only the live tail ``row[c:]``, and that is all the engines rewrite.
+The integer transform of ``_echelon`` is not triangular and stays full width.
 """
 
 from __future__ import annotations
@@ -163,7 +169,8 @@ def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
     Returns ``(rows, pivots, trans)`` where ``pivots`` is a list of
     ``(row, col)`` pairs with positive pivot entries and ``trans`` (if
     requested) satisfies ``trans * original = rows``.  Zero rows end up at
-    the bottom.
+    the bottom.  The inner row lists are rewritten in place; every caller
+    builds them for the call.
     """
     m = len(rows)
     trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
@@ -172,7 +179,7 @@ def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
     for c in range(ncols):
         if r >= m:
             break
-        # Euclidean elimination in column c on rows r..m-1.
+        # Euclidean elimination in column c on rows r..m-1, all zero left of c.
         while True:
             best = -1
             for i in range(r, m):
@@ -185,21 +192,23 @@ def _echelon(rows: list[list[int]], ncols: int, transform: bool = False):
                 if trans is not None:
                     trans[r], trans[best] = trans[best], trans[r]
             done = True
-            piv = rows[r][c]
+            tail = rows[r][c:]
+            piv = tail[0]
             for i in range(r + 1, m):
-                if rows[i][c] != 0:
-                    q = rows[i][c] // piv
+                row = rows[i]
+                if row[c] != 0:
+                    q = row[c] // piv
                     if q:
-                        rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                        row[c:] = [a - q * b for a, b in zip(row[c:], tail)]
                         if trans is not None:
                             trans[i] = [a - q * b for a, b in zip(trans[i], trans[r])]
-                    if rows[i][c] != 0:
+                    if row[c] != 0:
                         done = False
             if done:
                 break
         if r < m and rows[r][c] != 0:
             if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
+                rows[r][c:] = [-a for a in rows[r][c:]]
                 if trans is not None:
                     trans[r] = [-a for a in trans[r]]
             pivots.append((r, c))
@@ -212,13 +221,17 @@ def _reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]], trans=No
 
     ``trans``, when given, undergoes the same row operations, so that
     ``trans * original = rows`` still holds for a transform of ``_echelon``.
+    A pivot row is zero left of its pivot, so only the tails change, in
+    place.
     """
     for (r, c) in pivots:
-        piv = rows[r][c]
+        tail = rows[r][c:]
+        piv = tail[0]
         for i in range(r):
-            q = rows[i][c] // piv
+            row = rows[i]
+            q = row[c] // piv
             if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                row[c:] = [a - q * b for a, b in zip(row[c:], tail)]
                 if trans is not None:
                     trans[i] = [a - q * b for a, b in zip(trans[i], trans[r])]
     return rows
@@ -384,16 +397,22 @@ def rref_mod(rows: list[list[int]], ncols: int, p: int):
     for c in range(ncols):
         if r >= m:
             break
-        sel = next((i for i in range(r, m) if a[i][c]), None)
-        if sel is None:
+        for sel in range(r, m):
+            if a[sel][c]:
+                break
+        else:
             continue
         a[r], a[sel] = a[sel], a[r]
-        inv = _inv_mod(a[r][c], p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivot = a[r]
+        tail = pivot[c:]
+        if tail[0] != 1:
+            inv = _inv_mod(tail[0], p)
+            tail = [(x * inv) % p for x in tail]
+            pivot[c:] = tail
+        for row in a:
+            f = row[c]
+            if f and row is not pivot:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
         piv_cols.append(c)
         r += 1
     return [tuple(row) for row in a[:r]], piv_cols
@@ -407,7 +426,8 @@ def rank_mod(M: IntegerMatrix, p: int) -> int:
 def kernel_mod(M: IntegerMatrix, p: int) -> list[Vec]:
     """Basis of the kernel of M over F_p."""
     rows, piv_cols = rref_mod(M.rows_list(), M.cols, p)
-    free = [c for c in range(M.cols) if c not in piv_cols]
+    pivots = set(piv_cols)
+    free = [c for c in range(M.cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [0] * M.cols

@@ -458,10 +458,6 @@ def free_presentation(twists, base: Ring = ZZ) -> GradedPresentation:
     return GradedPresentation(base, GradedMap(src, tgt, entries))
 
 
-def structure_sheaf(base: Ring = ZZ) -> GradedPresentation:
-    return free_presentation((0,), base)
-
-
 def cokernel_presentation(target_twists, columns, base: Ring = ZZ) -> GradedPresentation:
     """Cokernel of the map assembled from ``columns`` of (twist, forms)."""
     return GradedPresentation(base, map_from_columns(target_twists, columns))
@@ -542,10 +538,3 @@ def twist(P: GradedPresentation, t: int) -> GradedPresentation:
     src = FreeGraded(tuple(a + t for a in P.map.source.twists))
     tgt = FreeGraded(tuple(a + t for a in P.map.target.twists))
     return GradedPresentation(P.base, GradedMap(src, tgt, P.map.entries))
-
-
-def rationalize(P: GradedPresentation) -> GradedPresentation:
-    """Retag an integral presentation as rational (coefficients unchanged)."""
-    if P.base.kind != "ZZ":
-        raise ValueError("rationalize requires an integral presentation")
-    return GradedPresentation(QQ, P.map)

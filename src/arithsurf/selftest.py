@@ -81,7 +81,6 @@ class CriterionResult:
             "number": self.number,
             "name": self.name,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "details": self.details,
         }
 

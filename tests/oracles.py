@@ -5,7 +5,10 @@ Gaussian elimination with Fraction arithmetic instead of integer echelon
 forms and cofactor determinants instead of Bareiss.  The global-section
 solver is ``arithsurf.selftest.oracle_h0``, the pair space at one exponent
 fixed by the twists of the free resolution, shared with the acceptance
-criteria.
+criteria.  The full-row eliminations ``reference_rref_mod``,
+``reference_echelon`` and ``reference_reduce_above`` are exactlat's kernels
+before they learned to rewrite only the live tail of each row; the kernels
+must give exactly their outputs.
 
 The exceptions are the two engines at the end.  The section-lattice engine
 re-presents a kernel-defined sheaf from a window of its stabilized section
@@ -48,7 +51,7 @@ from arithsurf.exactlat import (
     rank_of,
     span_lattice,
 )
-from arithsurf.graded import Form, FreeGraded, GradedMap, GradedPresentation
+from arithsurf.graded import QQ, ZZ, Form, FreeGraded, GradedMap, GradedPresentation, free_presentation
 from arithsurf.transforms import FiberQuotient, _assert_transform_contract, validate_quotient
 
 Vec = tuple[int, ...]
@@ -290,6 +293,106 @@ def _mod_p_left_kernel(vectors, p):
     for i, pc in enumerate(piv):
         combo[pc] = (-a[i][fc]) % p
     return combo
+
+
+# ---------------------------------------------------------------------------
+# full-row eliminations: exactlat's kernels as they were before they learned
+# to touch only the live tail of each row, kept verbatim as references
+
+
+def _inv_mod(a: int, p: int) -> int:
+    return pow(a % p, p - 2, p)
+
+
+def reference_rref_mod(rows: list[list[int]], ncols: int, p: int):
+    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
+    m = len(a)
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= m:
+            break
+        sel = next((i for i in range(r, m) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        inv = _inv_mod(a[r][c], p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    return [tuple(row) for row in a[:r]], piv_cols
+
+
+def reference_echelon(rows: list[list[int]], ncols: int, transform: bool = False):
+    """Bring ``rows`` to integer row echelon form by unimodular row operations.
+
+    Returns ``(rows, pivots, trans)`` where ``pivots`` is a list of
+    ``(row, col)`` pairs with positive pivot entries and ``trans`` (if
+    requested) satisfies ``trans * original = rows``.  Zero rows end up at
+    the bottom.
+    """
+    m = len(rows)
+    trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        if r >= m:
+            break
+        # Euclidean elimination in column c on rows r..m-1.
+        while True:
+            best = -1
+            for i in range(r, m):
+                if rows[i][c] != 0 and (best < 0 or abs(rows[i][c]) < abs(rows[best][c])):
+                    best = i
+            if best < 0:
+                break
+            if best != r:
+                rows[r], rows[best] = rows[best], rows[r]
+                if trans is not None:
+                    trans[r], trans[best] = trans[best], trans[r]
+            done = True
+            piv = rows[r][c]
+            for i in range(r + 1, m):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // piv
+                    if q:
+                        rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                        if trans is not None:
+                            trans[i] = [a - q * b for a, b in zip(trans[i], trans[r])]
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < m and rows[r][c] != 0:
+            if rows[r][c] < 0:
+                rows[r] = [-a for a in rows[r]]
+                if trans is not None:
+                    trans[r] = [-a for a in trans[r]]
+            pivots.append((r, c))
+            r += 1
+    return rows, pivots, trans
+
+
+def reference_reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]], trans=None):
+    """Reduce entries above each pivot into [0, pivot), left to right.
+
+    ``trans``, when given, undergoes the same row operations, so that
+    ``trans * original = rows`` still holds for a transform of ``_echelon``.
+    """
+    for (r, c) in pivots:
+        piv = rows[r][c]
+        for i in range(r):
+            q = rows[i][c] // piv
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                if trans is not None:
+                    trans[i] = [a - q * b for a, b in zip(trans[i], trans[r])]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -988,3 +1091,18 @@ def probe_rank_degree(P: GradedPresentation) -> tuple[int, int]:
             return r, vals[0] - r * (D + 1)
         D += span + 2
     raise NotLocallyFree("Hilbert function does not match a bundle pattern")
+
+
+# ---------------------------------------------------------------------------
+# presentations that only the tests build
+
+
+def structure_sheaf(base=ZZ) -> GradedPresentation:
+    return free_presentation((0,), base)
+
+
+def rationalize(P: GradedPresentation) -> GradedPresentation:
+    """Retag an integral presentation as rational (coefficients unchanged)."""
+    if P.base.kind != "ZZ":
+        raise ValueError("rationalize requires an integral presentation")
+    return GradedPresentation(QQ, P.map)

@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -326,6 +331,37 @@ def test_selftest_subset(capsys):
     assert doc["passed"] is True
     assert [c["number"] for c in doc["criteria"]] == [3, 7]
     assert "criterion 3" in captured.err
+
+
+def test_selftest_stdout_is_byte_identical_across_runs(capsys):
+    outs = []
+    for _ in range(2):
+        assert main(["selftest", "--only", "3"]) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert re.search(r"\[PASS\] criterion 3: .* \(\d+\.\ds\)", captured.err)
+    assert outs[0] == outs[1]
+    assert "seconds" not in json.loads(outs[0])["criteria"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bundle", "build", "--generic-type", "1", "--jump", "5:2"],
+    ["delpezzo", "classify", "--points", "1:0:0,0:1:0,0:0:1,2:3:5"],  # a domain error, exit 2 when read
+])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "arithsurf.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr
+    assert done.stderr == b""
 
 
 def test_selftest_unknown_criterion_is_a_usage_error(capsys):

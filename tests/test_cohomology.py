@@ -7,6 +7,8 @@ from arithsurf import cohomology
 from arithsurf.cohomology import (
     PairSpace,
     SectionCount,
+    _fp_span,
+    _pair_data,
     h0_dim,
     h1,
     section_space,
@@ -19,10 +21,9 @@ from arithsurf.graded import (
     ZZ,
     Form,
     cokernel_presentation,
+    degree_piece,
     free_presentation,
-    rationalize,
     reduce_mod,
-    structure_sheaf,
     twist,
 )
 from arithsurf.selftest import oracle_h0
@@ -34,7 +35,9 @@ from oracles import (
     presentation_from_sections,
     probe_rank_degree,
     provider_from_family,
+    rationalize,
     resaturate,
+    structure_sheaf,
 )
 
 
@@ -215,6 +218,34 @@ def test_section_space_reports_the_h0_count_past_the_floor():
             assert type(s) is SectionCount and s.d == d
             assert s.dim == h0_dim(Q, d)
             assert s.e >= stabilization_floor(Q, d)
+
+
+def _fp_relation_span_of_stacked_columns(P, d, e):
+    """B of the pair space at (d, e) over GF(p) as the package built it
+    before: the RREF of every nonzero column of phi1 placed in the u half
+    and in the v half, one elimination 2f wide."""
+    f = P.generators.piece_dim(d + e)
+    phi1 = degree_piece(P.map, d + e)
+    bvecs = []
+    for j in range(phi1.cols):
+        col = phi1.column(j)
+        if any(col):
+            bvecs += [col + (0,) * f, (0,) * f + col]
+    return _fp_span(2 * f, P.base.char, bvecs)
+
+
+def test_fp_relation_span_is_two_copies_of_the_rref_of_phi1():
+    ranks = set()
+    for Q in _sweep_cases():
+        if Q.base.kind != "GF":
+            continue
+        for d in range(-5, 3):
+            floor = stabilization_floor(Q, d)
+            for e in range(floor, floor + 4):
+                B = _pair_data(Q, d, e).B
+                assert B == _fp_relation_span_of_stacked_columns(Q, d, e)
+                ranks.add(B.rank)
+    assert len(ranks) > 3
 
 
 def test_h1_line_bundles():

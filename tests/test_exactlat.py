@@ -1,17 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithsurf.errors import CompositeModulus
 from arithsurf.exactlat import (
     IntegerMatrix,
     LatticeBasis,
+    _echelon,
+    _reduce_above,
     determinant,
     factorize,
     is_prime,
     kernel_lattice,
+    kernel_mod,
     prime_divisors,
     rank_of,
+    rref_mod,
     smith_invariants,
     span_lattice,
 )
@@ -25,6 +31,9 @@ from oracles import (
     quotient_group_data,
     rank_mod_p,
     rank_over,
+    reference_echelon,
+    reference_reduce_above,
+    reference_rref_mod,
 )
 
 
@@ -253,3 +262,90 @@ def test_primality_and_factoring():
     assert prime_divisors(1) == []
     big = (10**9 + 7) * (10**9 + 9)
     assert prime_divisors(big) == [10**9 + 7, 10**9 + 9]
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernels touch only the live tail of each row; they must
+# give exactly what the full-row references in oracles give
+
+PRIMES = (2, 3, 5, 397, 65521, 2**61 - 1)
+ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def int_rows(draw):
+    """(rows, ncols): up to 14 x 16, any density, small, huge and negative
+    entries, sometimes with a zero row or a duplicated row."""
+    m, n = draw(st.integers(0, 14)), draw(st.integers(0, 16))
+    density = draw(st.sampled_from((0, 10, 35, 70, 100)))
+    rows = [[draw(ENTRY) if draw(st.integers(0, 99)) < density else 0 for _ in range(n)] for _ in range(m)]
+    if m:
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        kind = draw(st.sampled_from(("plain", "zero", "duplicate")))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "duplicate":
+            rows[i] = list(rows[j])
+    return rows, n
+
+
+def _copy(rows):
+    return [list(r) for r in rows]
+
+
+KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@KERNEL_SETTINGS
+@given(int_rows(), st.sampled_from(PRIMES))
+def test_rref_mod_matches_full_row_reference(data, p):
+    rows, n = data
+    assert rref_mod(_copy(rows), n, p) == reference_rref_mod(_copy(rows), n, p)
+
+
+@KERNEL_SETTINGS
+@given(int_rows(), st.booleans())
+def test_echelon_and_reduce_above_match_full_row_reference(data, transform):
+    rows, n = data
+    ours, ref = _echelon(_copy(rows), n, transform), reference_echelon(_copy(rows), n, transform)
+    assert ours == ref
+    assert _reduce_above(*ours) == reference_reduce_above(*ref)
+    assert ours[2] == ref[2]
+
+
+@KERNEL_SETTINGS
+@given(int_rows(), st.sampled_from(PRIMES))
+def test_rref_mod_shape_rank_and_kernel(data, p):
+    rows, n = data
+    ech, piv_cols = rref_mod(_copy(rows), n, p)
+    assert len(ech) == len(piv_cols) == rank_mod_p(rows, p)
+    assert piv_cols == sorted(set(piv_cols))
+    for r, (row, c) in enumerate(zip(ech, piv_cols)):
+        assert all(0 <= x < p for x in row)
+        assert not any(row[:c]) and row[c] == 1
+        assert all(other[c] == 0 for k, other in enumerate(ech) if k != r)
+    M = IntegerMatrix.from_rows(rows, cols=n)
+    kernel = kernel_mod(M, p)
+    assert len(kernel) == n - len(ech)
+    for v in kernel:
+        assert all(x % p == 0 for x in M.mul_vec(v))
+    # the basis vectors are independent: each has a 1 at its own free column
+    free = [c for c in range(n) if c not in piv_cols]
+    assert [[v[c] for c in free] for v in kernel] == [[int(c == f) for c in free] for f in free]
+
+
+@KERNEL_SETTINGS
+@given(int_rows())
+def test_echelon_transform_maps_original_to_result(data):
+    rows, n = data
+    ech, pivots, trans = _echelon(_copy(rows), n, transform=True)
+    original = IntegerMatrix.from_rows(rows, cols=n)
+    T = IntegerMatrix.from_rows(trans, cols=len(rows))
+    assert T.mul(original) == IntegerMatrix.from_rows(ech, cols=n)
+    assert abs(determinant(T)) == 1
+    assert len(pivots) == gauss_rank(rows)
+    _reduce_above(ech, pivots, trans)
+    assert IntegerMatrix.from_rows(trans, cols=len(rows)).mul(original) == IntegerMatrix.from_rows(ech, cols=n)
+    for r, c in pivots:
+        assert ech[r][c] > 0 and not any(ech[r][:c])
+        assert all(0 <= ech[i][c] < ech[r][c] for i in range(r))

@@ -1,6 +1,7 @@
 """The runtime imports only the standard library, reads no environment,
 imports nothing at module level that it does not use, and gives every
-``lru_cache`` an integer bound unless an allowlist names it.
+``lru_cache`` an integer bound unless an allowlist names it.  The bundle
+layers load OpenSSL (through ``hashlib``) only when a bundle id is asked for.
 
 Every module of the package is parsed, not imported, so the check also
 covers imports that sit inside functions.  The CLI module imports no layer
@@ -8,12 +9,15 @@ at module level, so that each subcommand loads only the layers it runs.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "arithsurf").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "arithsurf").glob("*.py"))
 
 
 def _violations(tree: ast.AST) -> list[str]:
@@ -156,3 +160,21 @@ def test_cache_policy_flags_an_unbounded_cache():
         "@lru_cache(maxsize=16)\ndef f(x): pass\n"
     )
     assert _cache_bounds(tree, "m") == {"m.a": None, "m.b": None, "m.c": None, "m.d": 8, "m.e": 128, "m.f": 16}
+
+
+def test_bundle_layers_load_no_openssl_until_an_id_is_asked_for():
+    # hashlib maps OpenSSL's libcrypto, several MB of resident memory, and
+    # only BundleHandle.identifier needs it
+    script = (
+        "import sys\n"
+        "import arithsurf.bundles, arithsurf.hirzebruch, arithsurf.transforms\n"
+        "print('_hashlib' in sys.modules)\n"
+        "print(arithsurf.transforms.prescribed_types(1, [(5, 2)]).identifier())\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "2c9eaf897bf4d49f", "True"]
