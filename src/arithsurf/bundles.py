@@ -17,8 +17,12 @@ sections of E^v(d) are the kernel of the degree-d piece of phi^T:
 * the type at any single prime p, as :func:`audit_splitting` reads it, has
   a_p = c - dim ker(phi^T mod p)_(c-1), by the same rule.
 
-Every reported type is then checked against the Hilbert function of E from
-the independent pair engine of :mod:`cohomology`.  Before any of this,
+:func:`bundle_handle` reads this profile once, checks every type in it
+against the Hilbert function of E from the independent pair engine of
+:mod:`cohomology`, and stores it on the handle.  By cohomology and base
+change a prime dividing no Smith invariant has the generic type, so
+:func:`splitting_type` reads the stored profile and :func:`audit_splitting`
+is the one explicit cross-check at a single prime.  Before any of this,
 :func:`bundle_handle` checks that E is locally free: the (g-2)-minors of phi,
 g the number of generators, must have no common zero on P^1 over Z.
 """
@@ -27,11 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .cohomology import h0_dim, sheaf_rank_degree
 from .errors import (
+    CompositeModulus,
     IdentityViolation,
     NotLocallyFree,
     ParityViolation,
@@ -40,6 +44,7 @@ from .errors import (
 from .exactlat import (
     IntegerMatrix,
     LatticeBasis,
+    is_prime,
     kernel_lattice,
     prime_divisors,
     rank_mod,
@@ -135,14 +140,13 @@ class SplittingProfile:
 
 @dataclass(frozen=True)
 class BundleHandle:
-    """A verified rank-2 locally free sheaf with the presentation it was given."""
+    """A verified rank-2 locally free sheaf with the presentation it was given
+    and its verified splitting profile."""
 
     presentation: GradedPresentation
     rank: int
     degree: int
-
-    def profile(self) -> SplittingProfile:
-        return type_profile(self)
+    profile: SplittingProfile
 
     def identifier(self) -> str:
         import hashlib  # maps OpenSSL's libcrypto, so only when an id is asked for
@@ -234,9 +238,7 @@ def bundle_handle(P: GradedPresentation, assume_saturated: bool = False) -> Bund
     minors = _fitting_minors(P.map)
     if not minors or row_onto_degree(minors, [-m.degree for m in minors], 0) is None:
         raise NotLocallyFree("the (g-2)-minors of the presentation share a zero")
-    handle = BundleHandle(P, r, e)
-    type_profile(handle)  # checks the generic and jump splitting patterns
-    return handle
+    return BundleHandle(P, r, e, _read_profile(P, e))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +253,19 @@ def _check_pattern(Q: GradedPresentation, st: SplittingType) -> None:
 
 
 def splitting_type(B: BundleHandle, at: int | None = None) -> SplittingType:
-    """Splitting type at the generic point (``at=None``) or at a prime."""
-    prof = type_profile(B)
-    if at is None:
-        return prof.generic
-    if at in prof.jump_map():
-        return prof.jump_map()[at]
-    return audit_splitting(B, at)
+    """Splitting type at the generic point (``at=None``) or at a prime, read
+    off the handle's profile, whose jump list is complete."""
+    if at is not None and not is_prime(at):
+        raise CompositeModulus(f"{at} is not prime")
+    return B.profile.at(at)
 
 
 def audit_splitting(B: BundleHandle, p: int) -> SplittingType:
-    """Splitting type at p read off ker(phi^T mod p), bypassing the cached
+    """Splitting type at p read off ker(phi^T mod p), bypassing the stored
     profile, and checked against the pair engine on the fiber."""
+    fiber = reduce_mod(B.presentation, p)  # raises CompositeModulus unless p is prime
     st = _dual_type(B.presentation.map, B.degree, p)
-    _check_pattern(reduce_mod(B.presentation, p), st)
+    _check_pattern(fiber, st)
     return st
 
 
@@ -286,8 +287,8 @@ def _dual_type(phi: GradedMap, degree: int, p: int | None = None) -> SplittingTy
     return SplittingType(a, degree - a)
 
 
-@lru_cache(maxsize=None)
-def _profile_cached(P: GradedPresentation, degree: int) -> SplittingProfile:
+def _read_profile(P: GradedPresentation, degree: int) -> SplittingProfile:
+    """Generic type and jumps from the dual, each checked by the pair engine."""
     generic = _dual_type(P.map, degree)
     a = generic.a
     below = degree_piece(_transpose(P.map), a - 1)
@@ -306,29 +307,23 @@ def _profile_cached(P: GradedPresentation, degree: int) -> SplittingProfile:
 
 def type_profile(B: BundleHandle) -> SplittingProfile:
     """Generic splitting type plus all jump primes with their types."""
-    return _profile_cached(B.presentation, B.degree)
+    return B.profile
 
 
 def normalize(B: BundleHandle) -> BundleHandle:
     """Twist so the generic splitting is (-n-1, -1); idempotent."""
-    gen = type_profile(B).generic
-    t = -1 - gen.b
+    t = -1 - B.profile.generic.b
     if t == 0:
         return B
     P = twist_presentation(B.presentation, t)
-    return BundleHandle(P, B.rank, B.degree + 2 * t)
+    return BundleHandle(P, B.rank, B.degree + 2 * t, B.profile.shifted(t))
 
 
 def check_parity(B: BundleHandle) -> dict[int, int]:
-    """Verified jump deltas; all must be even and positive."""
-    prof = type_profile(B)
-    deltas = {}
-    for p, st in prof.jumps:
-        delta = st.type - prof.generic.type
-        if delta <= 0 or delta % 2:
-            raise ParityViolation(f"delta {delta} at prime {p}")
-        deltas[p] = delta
-    return deltas
+    """Jump deltas, even and positive: :class:`SplittingProfile` refuses any
+    other, so a handle's profile already passed this check."""
+    prof = B.profile
+    return {p: st.type - prof.generic.type for p, st in prof.jumps}
 
 
 def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
@@ -338,7 +333,7 @@ def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
     so the identity compares two independent computations.
     """
     N = normalize(B)
-    prof = type_profile(N)
+    prof = N.profile
     out = {}
     for p, st in prof.jumps:
         delta = st.type - prof.generic.type
@@ -386,7 +381,7 @@ def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
     section of O + O(a - b) vanishes nowhere: the onto check cannot fail on
     a verified handle, and ProfileInconsistent is raised if it does.
     """
-    prof = type_profile(B)
+    prof = B.profile
     if prof.jumps:
         return None
     a = prof.generic.a

@@ -267,11 +267,10 @@ def _run_bundle(args) -> dict:
 
 def _run_transform(args) -> dict:
     from .bundles import type_profile
-    from .transforms import apply_full, blowup_factorization, validate_quotient
+    from .transforms import apply_full, blowup_factorization
 
     B = _load_bundle(args)
     q = _quotient_from_args(B, args)
-    validate_quotient(B, q)
     if args.subcommand == "factorize":
         record = blowup_factorization(B, q)
         return {"factorization": record.to_json()}

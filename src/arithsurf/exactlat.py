@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ArithsurfError, schema_checked
+from .errors import ArithsurfError
 
 Vec = tuple[int, ...]
 
@@ -148,11 +148,6 @@ class IntegerMatrix:
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": [str(e) for e in self.entries]}
-
-    @staticmethod
-    @schema_checked
-    def from_json(obj: dict) -> "IntegerMatrix":
-        return IntegerMatrix(int(obj["rows"]), int(obj["cols"]), tuple(int(e) for e in obj["entries"]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +300,6 @@ class LatticeBasis:
     def vectors(self) -> list[Vec]:
         return [self.matrix.column(j) for j in range(self.matrix.cols)]
 
-    def express(self, v) -> list[int]:
-        """Coordinates of ``v`` in this basis; raises ValueError if outside."""
-        cols = self.matrix.columns_list()
-        work = list(v)
-        if len(work) != self.ambient:
-            raise ValueError("ambient dimension mismatch")
-        coords = []
-        for col in cols:
-            piv_row = next(i for i, x in enumerate(col) if x != 0)
-            q, rem = divmod(work[piv_row], col[piv_row])
-            if rem:
-                raise ValueError("vector not in lattice")
-            coords.append(q)
-            if q:
-                work = [a - q * b for a, b in zip(work, col)]
-        if any(work):
-            raise ValueError("vector not in lattice")
-        return coords
-
-    def to_json(self) -> dict:
-        return {"ambient": self.ambient, "basis": self.matrix.to_json()}
-
-    @staticmethod
-    @schema_checked
-    def from_json(obj: dict) -> "LatticeBasis":
-        return LatticeBasis(int(obj["ambient"]), IntegerMatrix.from_json(obj["basis"]))
 
 
 def kernel_lattice(M: IntegerMatrix) -> LatticeBasis:

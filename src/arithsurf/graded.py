@@ -228,54 +228,6 @@ def parse_form(text: str, degree: int | None = None) -> Form:
     return Form(d, tuple(coeffs))
 
 
-def form_gcd_degree_mod(f: Form, g: Form, p: int) -> int:
-    """Degree of gcd(f, g) in F_p[x0, x1]; -1 if both reduce to zero."""
-    fa = [c % p for c in f.coeffs]
-    ga = [c % p for c in g.coeffs]
-    if not any(fa) and not any(ga):
-        return -1
-    if not any(fa):
-        return g.degree
-    if not any(ga):
-        return f.degree
-    _, fmax = _nonzero_span(fa)
-    _, gmax = _nonzero_span(ga)
-    # x0-multiplicities: degree minus the top x1-exponent present
-    v0 = min(f.degree - fmax, g.degree - gmax)
-    u = _poly_gcd_mod(fa[: fmax + 1], ga[: gmax + 1], p)
-    return v0 + (len(u) - 1)
-
-
-def _nonzero_span(coeffs):
-    nz = [j for j, c in enumerate(coeffs) if c]
-    return nz[0], nz[-1]
-
-
-def _poly_gcd_mod(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def trim(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = trim(a), trim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):
-            f = a[-1] * inv % p
-            if f:
-                off = len(a) - len(b)
-                for k in range(len(b)):
-                    a[off + k] = (a[off + k] - f * b[k]) % p
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
-    return a if a else [0]
-
-
 # ---------------------------------------------------------------------------
 # free graded modules and maps
 

@@ -44,7 +44,6 @@ from .graded import (
     Form,
     GradedPresentation,
     cokernel_presentation,
-    form_gcd_degree_mod,
     free_presentation,
     reduce_mod,
 )
@@ -287,13 +286,22 @@ def criterion_1() -> CriterionResult:
     )
 
 
+def _coprime_mod(g: Form, h: Form, p: int) -> bool:
+    """Nonzero forms g, h share no zero on P^1 over the algebraic closure of
+    F_p exactly when their Sylvester matrix, the map (u, v) -> u g + v h into
+    forms of degree deg g + deg h - 1, has full rank mod p."""
+    m, k = g.degree, h.degree
+    blocks = zip(_form_block(g.coeffs, m, k - 1), _form_block(h.coeffs, k, m - 1))
+    return _gauss_rank_p([u + v for u, v in blocks], p) == m + k
+
+
 def _random_surjection(rng, p, n, ni):
     while True:
         g = Form.make(ni, [rng.randrange(p) for _ in range(ni + 1)])
         h = Form.make(ni + n, [rng.randrange(p) for _ in range(ni + n + 1)])
         if g.is_zero() or h.is_zero():
             continue
-        if form_gcd_degree_mod(g, h, p) == 0:
+        if _coprime_mod(g, h, p):
             return (g, h)
 
 

@@ -399,9 +399,28 @@ def reference_reduce_above(rows: list[list[int]], pivots: list[tuple[int, int]],
 # lattice membership and sums; rank over a named base
 
 
+def express(L: LatticeBasis, v) -> list[int]:
+    """Coordinates of ``v`` in the basis of ``L``; raises ValueError if outside."""
+    work = list(v)
+    if len(work) != L.ambient:
+        raise ValueError("ambient dimension mismatch")
+    coords = []
+    for col in L.matrix.columns_list():
+        piv_row = next(i for i, x in enumerate(col) if x != 0)
+        q, rem = divmod(work[piv_row], col[piv_row])
+        if rem:
+            raise ValueError("vector not in lattice")
+        coords.append(q)
+        if q:
+            work = [a - q * b for a, b in zip(work, col)]
+    if any(work):
+        raise ValueError("vector not in lattice")
+    return coords
+
+
 def lattice_contains(L: LatticeBasis, v) -> bool:
     try:
-        L.express(v)
+        express(L, v)
         return True
     except ValueError:
         return False
@@ -640,7 +659,7 @@ def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int
     by the classes of ``gens``; trivial factors are dropped.
     """
     k = S.rank
-    cols = [S.express(t) for t in T_vectors]
+    cols = [express(S, t) for t in T_vectors]
     X = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
     diag, uinv = _smith_left_inverse(X, k, len(cols))
     gens: list[Vec] = []
@@ -1091,6 +1110,58 @@ def probe_rank_degree(P: GradedPresentation) -> tuple[int, int]:
             return r, vals[0] - r * (D + 1)
         D += span + 2
     raise NotLocallyFree("Hilbert function does not match a bundle pattern")
+
+
+# ---------------------------------------------------------------------------
+# gcd of binary forms mod p, the coprimality reference
+
+
+def form_gcd_degree_mod(f: Form, g: Form, p: int) -> int:
+    """Degree of gcd(f, g) in F_p[x0, x1]; -1 if both reduce to zero."""
+    fa = [c % p for c in f.coeffs]
+    ga = [c % p for c in g.coeffs]
+    if not any(fa) and not any(ga):
+        return -1
+    if not any(fa):
+        return g.degree
+    if not any(ga):
+        return f.degree
+    _, fmax = _nonzero_span(fa)
+    _, gmax = _nonzero_span(ga)
+    # x0-multiplicities: degree minus the top x1-exponent present
+    v0 = min(f.degree - fmax, g.degree - gmax)
+    u = _poly_gcd_mod(fa[: fmax + 1], ga[: gmax + 1], p)
+    return v0 + (len(u) - 1)
+
+
+def _nonzero_span(coeffs):
+    nz = [j for j, c in enumerate(coeffs) if c]
+    return nz[0], nz[-1]
+
+
+def _poly_gcd_mod(a, b, p):
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+
+    def trim(u):
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):
+            f = a[-1] * inv % p
+            if f:
+                off = len(a) - len(b)
+                for k in range(len(b)):
+                    a[off + k] = (a[off + k] - f * b[k]) % p
+            a = trim(a)
+            if not a:
+                break
+        a, b = b, a
+    return a if a else [0]
 
 
 # ---------------------------------------------------------------------------

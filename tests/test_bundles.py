@@ -18,14 +18,13 @@ from arithsurf.bundles import (
     type_profile,
 )
 from arithsurf.cohomology import h0_dim, sheaf_rank_degree
-from arithsurf.errors import NotLocallyFree, ParityViolation
+from arithsurf.errors import CompositeModulus, NotLocallyFree, ParityViolation
 from arithsurf.exactlat import is_prime
 from arithsurf.graded import (
     Form,
     FreeGraded,
     GradedMap,
     cokernel_presentation,
-    form_gcd_degree_mod,
     free_presentation,
     reduce_mod,
 )
@@ -34,7 +33,7 @@ from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
 from arithsurf.selftest import oracle_splitting
 from arithsurf.transforms import prescribed_types
 
-from oracles import leibniz_minors, splitting_scan
+from oracles import form_gcd_degree_mod, leibniz_minors, splitting_scan
 
 
 def nf_presentation(n, f):
@@ -90,12 +89,28 @@ def test_profile_normal_form_6x0x1():
 
 
 def test_jump_completeness_spot_checks():
-    B = bundle_handle(nf_presentation(2, Form.make(2, (0, 6, 0))))
-    prof = type_profile(B)
+    # splitting_type reads the stored profile; audit_splitting reads the fiber
+    # off the dual mod p and checks it against the pair engine
     rng = random.Random(23)
-    unlisted = [p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37) if p not in prof.jump_map()]
-    for p in rng.sample(unlisted, 5):
-        assert audit_splitting(B, p) == prof.generic
+    handles = [bundle_handle(nf_presentation(2, Form.make(2, (0, 6, 0))))]
+    for n in range(4):
+        jumps = rng.sample([(2, 1), (3, 2), (5, 1), (7, 1)], n % 3)
+        handles.append(prescribed_types(n, jumps))
+    for n in range(1, 5):
+        f = Form.make(n, [rng.randint(-30, 30) for _ in range(n + 1)])
+        handles.append(bundle_from_normal_form(NormalForm(n, f)))
+    for B in handles:
+        for p in PRIMES_TO_50:
+            assert splitting_type(B, p) == audit_splitting(B, p), (p, type_profile(B).to_json())
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -5])
+def test_types_at_a_prime_refuse_other_moduli(p):
+    B = prescribed_types(1, [(5, 2)])
+    with pytest.raises(CompositeModulus):
+        splitting_type(B, p)
+    with pytest.raises(CompositeModulus):
+        audit_splitting(B, p)
 
 
 def test_normalize():
@@ -114,6 +129,9 @@ def test_profile_twist_invariance():
     for t in (-3, -1, 1, 2, 3):
         Bt = bundle_handle(twist_presentation(B.presentation, t), assume_saturated=True)
         assert type_profile(Bt).type_map() == base_types
+        # normalize shifts the stored profile; a fresh reading agrees
+        N = normalize(Bt)
+        assert N.profile == bundle_handle(N.presentation).profile
 
 
 def test_degree_constant_across_fibers():
@@ -134,6 +152,13 @@ def test_parity_profile_constructor_guards():
 def test_check_parity_split_is_empty():
     B = bundle_handle(free_presentation((0, -2)), assume_saturated=True)
     assert check_parity(B) == {}
+
+
+def test_check_parity_returns_the_jump_deltas():
+    # generic type 1, type 1 + 2*ni at each jump: deltas 2*ni
+    assert check_parity(prescribed_types(1, [(2, 1), (5, 2)])) == {2: 2, 5: 4}
+    # 6*x0*x1: generic (1, 1), and (0, 2) over 2 and 3
+    assert check_parity(bundle_handle(nf_presentation(2, Form.make(2, (0, 6, 0))))) == {2: 2, 3: 2}
 
 
 def test_check_type_h0_split_trivial():

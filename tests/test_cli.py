@@ -186,6 +186,16 @@ def test_transform_factorize(capsys):
     assert rec["center_V"]["degree"] == 1
 
 
+def test_transform_factorize_refuses_a_quotient_that_is_not_onto(capsys):
+    # x0, x0 vanish together at x0 = 0: validated once, by the transformation
+    code, doc = run_cli(
+        capsys, "transform", "factorize", "--generic-type", "0",
+        "--prime", "2", "--twist", "0", "--g", "x0", "--h", "x0",
+    )
+    assert code == 2
+    assert (doc["error"], doc["degree"]) == ("NotSurjective", 4)
+
+
 def test_delpezzo_classify(capsys):
     code, doc = run_cli(
         capsys, "delpezzo", "classify", "--points", "1:0:0,0:1:0,0:0:1,1:1:1"

@@ -249,9 +249,7 @@ def test_express_and_contains():
 
 def test_matrix_json_round_trip():
     mat = M([[10**40, -3], [0, 7]])
-    again = IntegerMatrix.from_json(mat.to_json())
-    assert again == mat
-    assert mat.to_json()["entries"][0] == str(10**40)
+    assert mat.to_json() == {"rows": 2, "cols": 2, "entries": [str(10**40), "-3", "0", "7"]}
 
 
 def test_primality_and_factoring():

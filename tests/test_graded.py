@@ -15,7 +15,6 @@ from arithsurf.graded import (
     GradedPresentation,
     cokernel_presentation,
     degree_piece,
-    form_gcd_degree_mod,
     form_to_str,
     free_presentation,
     map_from_columns,
@@ -25,6 +24,8 @@ from arithsurf.graded import (
     reduce_mod,
     twist,
 )
+
+from oracles import form_gcd_degree_mod
 
 
 def normal_form_presentation(n, f):

@@ -91,8 +91,8 @@ def test_module_level_imports_are_used(path):
 
 
 # Unbounded caches whose entries hold fixed-size values: a ring tag, a
-# three-integer section count, a splitting profile.
-UNBOUNDED_CACHE_ALLOWLIST = {"graded.GF", "cohomology._section_space_cached", "bundles._profile_cached"}
+# three-integer section count.
+UNBOUNDED_CACHE_ALLOWLIST = {"graded.GF", "cohomology._section_space_cached"}
 
 
 def _cache_bounds(tree: ast.Module, module: str) -> dict[str, object]:

@@ -21,7 +21,7 @@ from arithsurf.errors import (
     UnsupportedCenter,
 )
 from arithsurf import transforms
-from arithsurf.graded import Form, form_gcd_degree_mod, free_presentation, reduce_mod
+from arithsurf.graded import Form, free_presentation, reduce_mod
 from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
 from arithsurf.transforms import (
     BlowupFactorization,
@@ -32,7 +32,7 @@ from arithsurf.transforms import (
     prescribed_types,
     validate_quotient,
 )
-from oracles import _kernel_quotient_degree, apply_full, restricted_quotient
+from oracles import _kernel_quotient_degree, apply_full, form_gcd_degree_mod, restricted_quotient
 
 
 def split_handle(*twists):
