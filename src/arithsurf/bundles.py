@@ -30,7 +30,6 @@ g the number of generators, must have no common zero on P^1 over Z.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import h0_dim, sheaf_rank_degree
@@ -40,6 +39,7 @@ from .errors import (
     NotLocallyFree,
     ParityViolation,
     ProfileInconsistent,
+    frozen,
 )
 from .exactlat import (
     IntegerMatrix,
@@ -62,7 +62,7 @@ from .graded import (
 from .graded import twist as twist_presentation
 
 
-@dataclass(frozen=True, order=True)
+@frozen(order=True)
 class SplittingType:
     """Splitting O(a) + O(b) of a rank-2 bundle on the line over a field."""
 
@@ -91,7 +91,7 @@ class SplittingType:
         return [self.a, self.b]
 
 
-@dataclass(frozen=True)
+@frozen
 class SplittingProfile:
     """Generic splitting type plus the finite map prime -> type at jumps.
 
@@ -108,7 +108,7 @@ class SplittingProfile:
             delta = st.type - self.generic.type
             if delta <= 0 or delta % 2:
                 raise ParityViolation(
-                    f"jump at {p} has delta {delta}; must be even and positive"
+                    f"jump at {p} has delta {delta}; must be even and positive", "profile-parity"
                 )
 
     def jump_map(self) -> dict[int, SplittingType]:
@@ -138,7 +138,7 @@ class SplittingProfile:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class BundleHandle:
     """A verified rank-2 locally free sheaf with the presentation it was given
     and its verified splitting profile."""
@@ -249,7 +249,7 @@ def _check_pattern(Q: GradedPresentation, st: SplittingType) -> None:
     """Pair-engine h^0 at twists -b-1 .. -b+3 must match the splitting type."""
     for d in range(-st.b - 1, -st.b + 4):
         if h0_dim(Q, d) != st.h0_at(d):
-            raise ProfileInconsistent(f"h0 at twist {d} does not match splitting {st}")
+            raise ProfileInconsistent(f"h0 at twist {d} does not match splitting {st}", "h0-pattern")
 
 
 def splitting_type(B: BundleHandle, at: int | None = None) -> SplittingType:
@@ -294,7 +294,7 @@ def _read_profile(P: GradedPresentation, degree: int) -> SplittingProfile:
     below = degree_piece(_transpose(P.map), a - 1)
     invariants = smith_invariants(below)
     if len(invariants) != below.cols:
-        raise ProfileInconsistent(f"the dual has sections below twist {a}")
+        raise ProfileInconsistent(f"the dual has sections below twist {a}", "dual-profile")
     jumps = []
     for p in prime_divisors(max(invariants, default=1)):
         c = sum(1 for x in invariants if x % p == 0)
@@ -339,9 +339,7 @@ def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
         delta = st.type - prof.generic.type
         fiber_h0 = h0_dim(reduce_mod(N.presentation, p), 0)
         if delta != 2 * fiber_h0:
-            raise IdentityViolation(
-                f"at {p}: delta {delta} != 2*h0 = {2 * fiber_h0}"
-            )
+            raise IdentityViolation(f"at {p}: delta {delta} != 2*h0 = {2 * fiber_h0}", "type-h0-identity")
         out[p] = (delta, fiber_h0)
     return out
 
@@ -350,7 +348,7 @@ def check_type_h0(B: BundleHandle) -> dict[int, tuple[int, int]]:
 # split certificates
 
 
-@dataclass(frozen=True)
+@frozen
 class SplitCertificate:
     """Witness that a constant-profile bundle E is O(a) + O(b).
 
@@ -389,5 +387,7 @@ def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
     row = dual.source.piece_forms(a, kernel_lattice(degree_piece(dual, a)).vectors()[0])
     N = row_onto_degree(row, B.presentation.generators.twists, a)
     if N is None:
-        raise ProfileInconsistent(f"the dual section at twist {a} is not onto on every fiber")
+        raise ProfileInconsistent(
+            f"the dual section at twist {a} is not onto on every fiber", "split-certificate"
+        )
     return SplitCertificate(prof.generic, row, N)

@@ -2,8 +2,10 @@
 
 Every run emits a single JSON document on stdout; diagnostics go to stderr.
 Exit status is 0 on success, 2 on domain errors (the error name travels in
-the document), and 1 on usage errors or when the reader closes stdout
-early.  Identical requests produce byte-identical output.
+the document), 3 when an internal consistency check fails on validated
+input (the document names the error and the stage), and 1 on usage errors
+or when the reader closes stdout early.  Identical requests produce
+byte-identical output.
 
 Each subcommand imports the layers it runs inside its own branch, so a
 fresh process pays only for those.
@@ -17,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ArithsurfError, InvalidInput, schema_checked
+from .errors import ArithsurfError, InternalInconsistency, InvalidInput, schema_checked
 
 
 # Largest accepted sizes.  The work of one command grows polynomially in
@@ -98,6 +100,9 @@ def _emit(payload: dict) -> int:
 
 def _emit_error(exc: ArithsurfError) -> int:
     doc = {"meta": _meta(), "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, InternalInconsistency):
+        doc["stage"] = exc.stage
+        return _print_document(doc, 3)
     extra = getattr(exc, "witness", None)
     if extra is not None:
         doc["witness"] = extra.to_json()

@@ -31,10 +31,9 @@ transformations write their kernel presentation down in closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotLocallyFree, WindowExhausted
+from .errors import NotLocallyFree, WindowExhausted, frozen
 from .exactlat import (
     IntegerMatrix,
     LatticeBasis,
@@ -71,7 +70,7 @@ def stabilization_floor(P: GradedPresentation, d: int) -> int:
 # spans over the base: integer lattices or F_p row spaces
 
 
-@dataclass(frozen=True)
+@frozen
 class FpSpan:
     """Row space over F_p in reduced row echelon form (canonical)."""
 
@@ -96,7 +95,7 @@ def _fp_span(ambient: int, p: int, vectors) -> FpSpan:
 # pair spaces
 
 
-@dataclass(frozen=True)
+@frozen
 class PairSpace:
     """Sections of M~(d) in pair representation at exponent e.
 
@@ -199,7 +198,7 @@ def _push_compatible(P: GradedPresentation, prev: PairSpace, cur: PairSpace) -> 
     return combined == cur.K
 
 
-@dataclass(frozen=True)
+@frozen
 class SectionCount:
     """What the memo keeps of a stabilized pair space: the twist, the
     exponent at which the scan accepted it and the rank of H^0 there."""

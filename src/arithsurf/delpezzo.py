@@ -21,17 +21,16 @@ of the Fano plane contain a repeated point or a collinear triple mod 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, isqrt
 
-from .errors import NotGeneralPosition, TooManyPoints
+from .errors import NotGeneralPosition, TooManyPoints, frozen
 from .exactlat import IntegerMatrix, _echelon, _reduce_above, determinant, prime_divisors
 
 MAX_POINTS = 8
 
 
-@dataclass(frozen=True)
+@frozen
 class ProjectivePoint:
     """Primitive integer triple, sign-canonicalized (first nonzero > 0)."""
 
@@ -72,7 +71,7 @@ E3 = ProjectivePoint(0, 0, 1)
 TORUS_POINT = ProjectivePoint(1, 1, 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class PointConfiguration:
     """Ordered tuple of at most eight projective points."""
 
@@ -106,7 +105,7 @@ class PointConfiguration:
         return [str(p) for p in self.points]
 
 
-@dataclass(frozen=True)
+@frozen
 class Witness:
     """A failing subset with the primes at which it degenerates.
 
@@ -128,7 +127,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class Verdict:
     ok: bool
     witnesses: tuple[Witness, ...]
@@ -223,7 +222,7 @@ def _mod2_witness(c: PointConfiguration) -> Witness:
     raise AssertionError("five points always degenerate mod 2")
 
 
-@dataclass(frozen=True)
+@frozen
 class Standardization:
     """GL_3(Z) change of coordinates onto the standard configuration."""
 
@@ -307,7 +306,7 @@ def classify(c: PointConfiguration) -> dict:
 # Picard-lattice bookkeeping
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeClass:
     """Class d*L - sum(m_i E_i) in the blow-up Picard lattice diag(1, -1...)."""
 

@@ -28,10 +28,9 @@ The integer transform of ``_echelon`` is not triangular and stays full width.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
 
-from .errors import ArithsurfError
+from .errors import ArithsurfError, frozen
 
 Vec = tuple[int, ...]
 
@@ -40,7 +39,7 @@ Vec = tuple[int, ...]
 # matrices
 
 
-@dataclass(frozen=True)
+@frozen
 class IntegerMatrix:
     """Dense matrix of arbitrary-precision integers, row-major, immutable."""
 
@@ -277,7 +276,7 @@ def determinant(M: IntegerMatrix) -> int:
 # lattices
 
 
-@dataclass(frozen=True)
+@frozen
 class LatticeBasis:
     """A sublattice of Z^n in canonical column echelon form.
 

@@ -11,10 +11,9 @@ x0^d, x0^(d-1)*x1, ..., x1^d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CompositeModulus, schema_checked
+from .errors import CompositeModulus, frozen, schema_checked
 from .exactlat import IntegerMatrix, _echelon, is_prime
 
 
@@ -22,7 +21,7 @@ from .exactlat import IntegerMatrix, _echelon, is_prime
 # base rings
 
 
-@dataclass(frozen=True)
+@frozen
 class Ring:
     """Base ring tag: the integers, the rationals, or a prime field."""
 
@@ -65,7 +64,7 @@ def monomial_basis(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((d - j, j) for j in range(d + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class Form:
     """Homogeneous binary form sum(c_j * x0^(d-j) * x1^j) with integer coefficients.
 
@@ -232,7 +231,7 @@ def parse_form(text: str, degree: int | None = None) -> Form:
 # free graded modules and maps
 
 
-@dataclass(frozen=True)
+@frozen
 class FreeGraded:
     """Direct sum of twists O(a1) + ... + O(ar), as its graded section module."""
 
@@ -257,7 +256,7 @@ class FreeGraded:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedMap:
     """Degree-compatible map between free graded modules.
 
@@ -357,7 +356,7 @@ def degree_piece(phi: GradedMap, d: int) -> IntegerMatrix:
 # presentations
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedPresentation:
     """A coherent sheaf on the projective line: sheafified cokernel of ``map``.
 

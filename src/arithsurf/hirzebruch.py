@@ -18,7 +18,6 @@ y1, y2, "^", "*") so outputs can be compared byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .bundles import (
     BundleHandle,
@@ -28,11 +27,11 @@ from .bundles import (
     try_split_certificate,
     type_profile,
 )
-from .errors import schema_checked
+from .errors import frozen, schema_checked
 from .graded import Form, cokernel_presentation, monomial_basis, parse_form
 
 
-@dataclass(frozen=True)
+@frozen
 class NormalForm:
     """Data (n, f) of the hypersurface x0^n y0 + x1^n y1 + f y2 = 0."""
 
@@ -122,7 +121,7 @@ def degree_profile(nf: NormalForm) -> SplittingProfile:
     return type_profile(bundle_from_normal_form(nf))
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstancyResult:
     """Outcome of the constant-degree certification of a normal form."""
 

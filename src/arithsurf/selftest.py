@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from .bundles import (
     audit_splitting,
@@ -63,13 +62,15 @@ _CRITERION_6_SWEEP = 10_000
 _CRITERION_8_COUNT = 50
 
 
-@dataclass
 class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    seconds: float
-    details: dict = field(default_factory=dict)
+    """Outcome of one acceptance criterion."""
+
+    def __init__(self, number: int, name: str, passed: bool, seconds: float, details: dict | None = None):
+        self.number = number
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.details = {} if details is None else details
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -39,7 +39,6 @@ N e1, N e2 alone, which is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .bundles import (
@@ -57,6 +56,7 @@ from .errors import (
     NotSurjective,
     ProfileInconsistent,
     UnsupportedCenter,
+    frozen,
     schema_checked,
 )
 from .exactlat import is_prime, kernel_mod, rank_mod, rref_mod
@@ -72,7 +72,7 @@ from .graded import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class FiberQuotient:
     """A surjection E -> O(m) on the fiber over p, one form per generator."""
 
@@ -227,7 +227,8 @@ def _row_syzygies(P: GradedPresentation, q: FiberQuotient) -> list[tuple[int, tu
         below = kernel
     if len(found) != g - 1:
         raise ProfileInconsistent(
-            f"quotient row has {len(found)} syzygies up to twist {bound}, expected {g - 1}"
+            f"quotient row has {len(found)} syzygies up to twist {bound}, expected {g - 1}",
+            "kernel-syzygies",
         )
     return found
 
@@ -242,7 +243,9 @@ def _syzygy_coefficients(column, d: int, syz, p: int) -> list[Form]:
     rows = [[v[t] for v in basis] + [rhs[t]] for t in range(len(rhs))]
     ech, pivots = rref_mod(rows, len(basis) + 1, p)
     if len(basis) in pivots:
-        raise ProfileInconsistent("a relation of the source does not lie in the kernel mod p")
+        raise ProfileInconsistent(
+            "a relation of the source does not lie in the kernel mod p", "kernel-relations"
+        )
     coeffs = [[0] * max(0, d - dj + 1) for dj, _ in syz]
     for row, c in zip(ech, pivots):
         j, b = unknowns[c]
@@ -254,7 +257,7 @@ def _syzygy_coefficients(column, d: int, syz, p: int) -> list[Form]:
 # apply
 
 
-@dataclass(frozen=True)
+@frozen
 class TransformResult:
     """Kernel bundle plus the data needed to chain further transformations.
 
@@ -297,7 +300,9 @@ def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
             for coeff, (_, s) in zip(lam, syz):
                 f = f.add(coeff.mul(s[i]).scale(-1))
             if any(c % p for c in f.coeffs):
-                raise ProfileInconsistent("a relation of the source is not divisible by p")
+                raise ProfileInconsistent(
+                    "a relation of the source is not divisible by p", "kernel-relations"
+                )
             u.append(f.map_coeffs(lambda c: c // p))
         columns.append((r, u + lam))
     gen_twists = twists + tuple(-d for d, _ in syz)
@@ -330,14 +335,13 @@ def _assert_transform_contract(B: BundleHandle, out: BundleHandle, q: FiberQuoti
     if before.generic != after.generic:
         raise ProfileInconsistent(
             f"generic splitting changed under the transformation: "
-            f"{before.generic} -> {after.generic}"
+            f"{before.generic} -> {after.generic}",
+            "transform-contract",
         )
     off_before = {p: st for p, st in before.jumps if p != q.p}
     off_after = {p: st for p, st in after.jumps if p != q.p}
     if off_before != off_after:
-        raise ProfileInconsistent(
-            "profile changed away from the transformation prime"
-        )
+        raise ProfileInconsistent("profile changed away from the transformation prime", "transform-contract")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +406,8 @@ def prescribed_types(n: int, jumps) -> BundleHandle:
     if type_profile(handle) != expect:
         raise ProfileInconsistent(
             f"closed-form kernel has profile {type_profile(handle).to_json()}, "
-            f"prescribed {expect.to_json()}"
+            f"prescribed {expect.to_json()}",
+            "prescribed-profile",
         )
     return handle
 
@@ -422,7 +427,7 @@ def _crt_form(forms, moduli) -> Form:
 # blow-up factorization records
 
 
-@dataclass(frozen=True)
+@frozen
 class CenterSection:
     """Verified description of a section of a projectivized bundle over a fiber."""
 
@@ -456,7 +461,7 @@ class CenterSection:
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class BlowupFactorization:
     """Symbolic record identifying a transformation with a blow-up/blow-down.
 
@@ -499,11 +504,16 @@ class BlowupFactorization:
                 ),
             )
 
+        def identifier(value):
+            if not isinstance(value, str):
+                raise TypeError(f"a bundle id is a string, not {type(value).__name__}")
+            return value
+
         return BlowupFactorization(
             int(obj["p"]),
             int(obj["m"]),
-            obj["source"],
-            obj["target"],
+            identifier(obj["source"]),
+            identifier(obj["target"]),
             CenterSection.from_json(obj["center_V"]),
             CenterSection.from_json(obj["center_U"]),
             profile(obj["source_profile"]),

@@ -931,13 +931,13 @@ def fiber_value(
         if j <= target:
             w[j] = c % p
         elif c % p:
-            raise ProfileInconsistent("pair image not divisible by x0^e")
+            raise ProfileInconsistent("pair image not divisible by x0^e", "oracle")
     for j, c in enumerate(qv):
         if j < e:
             if c % p:
-                raise ProfileInconsistent("pair image not divisible by x1^e")
+                raise ProfileInconsistent("pair image not divisible by x1^e", "oracle")
         elif (c - (w[j - e] if 0 <= j - e <= target else 0)) % p:
-            raise ProfileInconsistent("chart images of the section disagree")
+            raise ProfileInconsistent("chart images of the section disagree", "oracle")
     return tuple(w)
 
 
@@ -978,7 +978,7 @@ def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
     P = B.presentation
     d0 = first_section_twist(P)
     if d0 is None:
-        raise ProfileInconsistent("bundle has no sections anywhere")
+        raise ProfileInconsistent("bundle has no sections anywhere", "oracle")
     span = P.twist_span()
     last = WindowExhausted("unreachable")
     for extra in (0, 4, 8):
@@ -1060,14 +1060,14 @@ def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
         tvecs += piece.B.vectors()
         _, orders = quotient_group_data(lattice_sum(kernel, piece.B), tvecs)
         if any(o != 0 and o != q.p for o in orders):
-            raise ProfileInconsistent("kernel quotient is not an F_p space")
+            raise ProfileInconsistent("kernel quotient is not an F_p space", "oracle")
         dims.append((d, sum(1 for o in orders if o == q.p)))
     (d_top, dim_top) = dims[-1]
     m_u = dim_top - d_top - 1
     for d, dim in dims[-3:]:
         if dim != m_u + d + 1:
             raise ProfileInconsistent(
-                "kernel quotient does not match a line-bundle Hilbert function"
+                "kernel quotient does not match a line-bundle Hilbert function", "oracle"
             )
     return m_u
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from arithsurf import bundles, errors
 from arithsurf.cli import (
     _MAX_GENERIC_TYPE,
     _MAX_JUMP_HEIGHT,
@@ -21,6 +22,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out.strip() else None)
+
+
+@pytest.mark.parametrize(
+    "error, status",
+    [
+        (errors.ProfileInconsistent("h0 disagrees", "h0-pattern"), 3),
+        (errors.ParityViolation("odd delta", "profile-parity"), 3),
+        (errors.IdentityViolation("delta != 2*h0", "type-h0-identity"), 3),
+        (errors.NotLocallyFree("minors share a zero"), 2),
+        (errors.WindowExhausted("no stable window"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_an_internal_inconsistency_exits_3_and_a_domain_error_2(monkeypatch, capsys, error, status):
+    # patched into the check that bundle check runs last
+    def fail(B):
+        raise error
+
+    monkeypatch.setattr(bundles, "check_type_h0", fail)
+    code, doc = run_cli(capsys, "bundle", "check", "--generic-type", "0", "--jump", "2:1")
+    assert code == status
+    assert (doc["error"], doc["message"]) == (type(error).__name__, str(error))
+    assert doc.get("stage") == (error.stage if status == 3 else None)
 
 
 def test_surface_normal_form(capsys):

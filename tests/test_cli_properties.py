@@ -2,7 +2,9 @@
 
 Every argv gets exit 0 (one JSON document on stdout), exit 2 (one JSON
 document naming the domain error) or exit 1 (a ``usage error:`` line on
-stderr and nothing on stdout); no argv raises.  Sizes stay small (|n| <= 6,
+stderr and nothing on stdout); no argv raises.  Exit 3, an internal
+consistency check failing on validated input, is a failure of the test,
+not an accepted outcome.  Sizes stay small (|n| <= 6,
 jump heights <= 6, primes and audit bounds <= 50) so each example runs in
 well under a second.  Values are passed both as ``--g TEXT`` and as
 ``--g=TEXT``; either way a value may begin with a minus sign.  Long option
@@ -172,6 +174,7 @@ def test_every_argv_gets_a_document_or_a_usage_error(paths):
     @given(cli_argv(files, outputs))
     def check(argv):
         code, out, err = run(argv)
+        assert code != 3, ("internal inconsistency", argv, out)
         assert code in (0, 1, 2), (argv, code, err)
         if code == 1:
             assert out == "" and "usage error:" in err, (argv, out, err)

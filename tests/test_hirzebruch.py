@@ -141,8 +141,9 @@ def test_a_certificate_row_that_is_not_onto_is_an_error(monkeypatch, capsys):
     )
     with pytest.raises(ProfileInconsistent):
         constancy_check(NormalForm.make(1, "0"))
-    assert main(["surface", "normal-form", "-n", "1", "--certify"]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "ProfileInconsistent"
+    assert main(["surface", "normal-form", "-n", "1", "--certify"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["error"], doc["stage"]) == ("ProfileInconsistent", "split-certificate")
 
 
 def test_normal_form_validation():

@@ -6,6 +6,9 @@ layers load OpenSSL (through ``hashlib``) only when a bundle id is asked for.
 Every module of the package is parsed, not imported, so the check also
 covers imports that sit inside functions.  The CLI module imports no layer
 at module level, so that each subcommand loads only the layers it runs.
+No module imports ``dataclasses`` or generates code with ``exec``,
+``eval`` or ``compile``, and a process that ran a command of each family
+holds neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
@@ -178,3 +181,58 @@ def test_bundle_layers_load_no_openssl_until_an_id_is_asked_for():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "2c9eaf897bf4d49f", "True"]
+
+
+CODEGEN_BUILTINS = ("exec", "eval", "compile")
+
+
+def _codegen_and_dataclasses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append(f"line {node.lineno}: from dataclasses import ...")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CODEGEN_BUILTINS:
+            found.append(f"line {node.lineno}: {node.func.id}()")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclasses_and_no_generated_code(path):
+    # value classes come from errors.frozen, which builds closures
+    assert _codegen_and_dataclasses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_codegen_policy_flags_each_form():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "exec('x = 1')\neval('1')\ncompile('1', 's', 'eval')\nre.compile('x')\n"
+    )
+    assert len(_codegen_and_dataclasses(tree)) == 5
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, ast, dis and tokenize, about 10 ms of a
+    # fresh process; no command needs them
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "import arithsurf.cli",
+        *(
+            f"with contextlib.redirect_stdout(io.StringIO()): assert arithsurf.cli.main({argv!r}) == 0"
+            for argv in (
+                ["bundle", "build", "--generic-type", "1", "--jump", "3:2"],
+                ["transform", "factorize", "--generic-type", "1", "--prime", "3", "--twist", "0",
+                 "--g", "x0", "--h", "x1^2"],
+                ["surface", "normal-form", "-n", "2", "-f", "5*x0*x1", "--certify"],
+                ["delpezzo", "classify", "--points", "1:0:0,0:1:0,0:0:1,1:1:1"],
+            )
+        ),
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
