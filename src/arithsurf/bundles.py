@@ -47,8 +47,6 @@ from .exactlat import (
     is_prime,
     kernel_lattice,
     prime_divisors,
-    rank_mod,
-    rank_of,
     smith_invariants,
 )
 from .graded import (
@@ -57,7 +55,9 @@ from .graded import (
     GradedMap,
     GradedPresentation,
     degree_piece,
+    nullity,
     reduce_mod,
+    transpose,
 )
 from .graded import twist as twist_presentation
 
@@ -264,34 +264,24 @@ def audit_splitting(B: BundleHandle, p: int) -> SplittingType:
     """Splitting type at p read off ker(phi^T mod p), bypassing the stored
     profile, and checked against the pair engine on the fiber."""
     fiber = reduce_mod(B.presentation, p)  # raises CompositeModulus unless p is prime
-    st = _dual_type(B.presentation.map, B.degree, p)
+    st = _dual_type(fiber, B.degree)
     _check_pattern(fiber, st)
     return st
 
 
-def _transpose(phi: GradedMap) -> GradedMap:
-    """phi^T: F0^v -> F1^v, whose kernel is the dual bundle Hom(coker phi, O)."""
-    return GradedMap(
-        FreeGraded(tuple(-t for t in phi.target.twists)),
-        FreeGraded(tuple(-t for t in phi.source.twists)),
-        tuple(tuple(row[j] for row in phi.entries) for j in range(phi.source.rank)),
-    )
-
-
-def _dual_type(phi: GradedMap, degree: int, p: int | None = None) -> SplittingType:
-    """Type (a, degree - a) over Q (``p`` None) or mod p from one kernel: with
+def _dual_type(P: GradedPresentation, degree: int) -> SplittingType:
+    """Type (a, degree - a) over P's base (over Q for Z) from one kernel: with
     c = ceil(degree / 2), a <= c <= b, so dim ker(phi^T)_(c-1) = c - a."""
     c = -(-degree // 2)
-    piece = degree_piece(_transpose(phi), c - 1)
-    a = c - piece.cols + (rank_of(piece) if p is None else rank_mod(piece, p))
+    a = c - nullity(degree_piece(transpose(P.map), c - 1), P.base)
     return SplittingType(a, degree - a)
 
 
 def _read_profile(P: GradedPresentation, degree: int) -> SplittingProfile:
     """Generic type and jumps from the dual, each checked by the pair engine."""
-    generic = _dual_type(P.map, degree)
+    generic = _dual_type(P, degree)
     a = generic.a
-    below = degree_piece(_transpose(P.map), a - 1)
+    below = degree_piece(transpose(P.map), a - 1)
     invariants = smith_invariants(below)
     if len(invariants) != below.cols:
         raise ProfileInconsistent(f"the dual has sections below twist {a}", "dual-profile")
@@ -383,7 +373,7 @@ def try_split_certificate(B: BundleHandle) -> SplitCertificate | None:
     if prof.jumps:
         return None
     a = prof.generic.a
-    dual = _transpose(B.presentation.map)
+    dual = transpose(B.presentation.map)
     row = dual.source.piece_forms(a, kernel_lattice(degree_piece(dual, a)).vectors()[0])
     N = row_onto_degree(row, B.presentation.generators.twists, a)
     if N is None:

@@ -61,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
         return len(matches) == 1 and matches[0].nargs is None
 
 
-def _int_at_most(limit: int):
-    """argparse type: an integer no larger than ``limit``."""
+def _size_at_most(limit: int):
+    """argparse type: an integer from 0 to ``limit``."""
 
     def parse(text):
         try:
@@ -71,6 +71,8 @@ def _int_at_most(limit: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value > limit:
             raise argparse.ArgumentTypeError(f"{value} exceeds the limit {limit}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{value} is negative")
         return value
 
     return parse
@@ -161,10 +163,10 @@ def _load_bundle(args):
 def _bundle_input_flags(sub):
     sub.add_argument("--bundle", help="path to a bundle JSON document")
     sub.add_argument(
-        "--generic-type", type=_int_at_most(_MAX_GENERIC_TYPE), help="generic type n for prescribed jumps"
+        "--generic-type", type=_size_at_most(_MAX_GENERIC_TYPE), help="generic type n for prescribed jumps"
     )
     sub.add_argument("--jump", action="append", metavar="P:NI", help="jump prime and height (repeatable)")
-    sub.add_argument("-n", dest="normal_form_n", type=_int_at_most(_MAX_NORMAL_FORM_N), help="normal form degree")
+    sub.add_argument("-n", dest="normal_form_n", type=_size_at_most(_MAX_NORMAL_FORM_N), help="normal form degree")
     sub.add_argument("-f", dest="normal_form_f", help="normal form coefficient form, e.g. '5*x0*x1'")
 
 
@@ -194,12 +196,10 @@ def _profile_payload(B, audit_bound: int | None) -> dict:
         "bundle": B.to_json(),
         "profile": type_profile(B).to_json(),
     }
-    if audit_bound:
-        audit = {}
-        for p in range(2, audit_bound + 1):
-            if is_prime(p):
-                audit[str(p)] = audit_splitting(B, p).to_json()
-        payload["audit"] = audit
+    if audit_bound is not None:
+        payload["audit"] = {
+            str(p): audit_splitting(B, p).to_json() for p in range(2, audit_bound + 1) if is_prime(p)
+        }
     return payload
 
 
@@ -221,7 +221,7 @@ def build_parser() -> _Parser:
     for name in ("build", "profile", "check"):
         b = bsub.add_parser(name)
         _bundle_input_flags(b)
-        b.add_argument("--primes-up-to", type=_int_at_most(_MAX_PRIMES_UP_TO), dest="primes_up_to")
+        b.add_argument("--primes-up-to", type=_size_at_most(_MAX_PRIMES_UP_TO), dest="primes_up_to")
         b.add_argument("--output", help="also write the result document to a file")
 
     transform = sub.add_parser("transform", help="fiber-type elementary transformations")
@@ -239,7 +239,7 @@ def build_parser() -> _Parser:
     surface = sub.add_parser("surface", help="Hirzebruch surface normal forms")
     ssub = surface.add_subparsers(dest="subcommand", required=True)
     s = ssub.add_parser("normal-form")
-    s.add_argument("-n", type=_int_at_most(_MAX_NORMAL_FORM_N), required=True)
+    s.add_argument("-n", type=_size_at_most(_MAX_NORMAL_FORM_N), required=True)
     s.add_argument("-f", default="0")
     s.add_argument("--reduce", action="store_true", help="kill the x0^n and x1^n coefficients first")
     s.add_argument("--certify", action="store_true", help="attempt a constancy certificate")

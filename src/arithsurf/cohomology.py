@@ -1,28 +1,33 @@
 """Sheaf cohomology of presented sheaves on the projective line.
 
-Global sections of the sheafified cokernel M~ twisted by d are computed in
-the pair representation: an element is a pair (u, v) of degree-(d+e) module
-elements with x1^e * u = x0^e * v, i.e. a homomorphism from the ideal
-(x0^e, x1^e) into M(d).  The pair spaces stabilize to H^0(M~(d)) as e grows;
-stabilization is accepted after two consecutive stable transitions (three
-equal dimensions with both induced maps identifying the section lattices),
-counted from the structural floor where every piece is live.  A hard cap,
-the twist span plus |d| plus a fixed margin of 4, bounds the scan.  The
-memo per presentation and twist keeps only the answer, a ``SectionCount``
-of three integers (d, e, dim); the lattices or F_p spans of each pair space
-live only while its scan runs.  The relation images B are the pairs
-(phi1 r, 0) and (0, phi1 r), so B = im phi1 + im phi1 in block form; over
-F_p its canonical row echelon form is R + 0 over 0 + R, with R that of the
-columns of phi1 alone, and it is built that way.
+h^1 is one rank: for M~ = coker(phi: F1 -> F0), Serre duality (Hartshorne
+III.7.1) and the left exactness of Hom(-, O) give h^1(M~(d)) =
+dim ker (phi^T)_(-d-2), over Q when the base is Z.
+
+h^0 still scans to a stopping rule (until ROADMAP item 1b): global sections
+of M~(d) are computed in the pair representation, where an element is a pair
+(u, v) of degree-(d+e) module elements with x1^e * u = x0^e * v, i.e. a
+homomorphism from the ideal (x0^e, x1^e) into M(d).  The pair spaces
+stabilize to H^0(M~(d)) as e grows; stabilization is accepted after two
+consecutive stable transitions (three equal dimensions with both induced
+maps identifying the section lattices), counted from the structural floor
+where every piece is live.  A hard cap, the twist span plus |d| plus a fixed
+margin of 4, bounds the scan.  The memo per presentation and twist keeps
+only the answer, a ``SectionCount`` of three integers (d, e, dim); the
+lattices or F_p spans of each pair space live only while its scan runs.
+The relation images B are the pairs (phi1 r, 0) and (0, phi1 r), so
+B = im phi1 + im phi1 in block form; over F_p its canonical row echelon
+form is R + 0 over 0 + R, with R that of the columns of phi1 alone, and it
+is built that way.
 
 Rank and degree are not read from sections: ker(phi) is a free module on
 the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
 three known layers of twists, and ``sheaf_rank_degree`` reads the rank, the
 degree and with them the Euler characteristic chi(M~(d)) = r(d+1) + e off
-those twists.  h^1 is h^0 - chi, so h^0 stays the single stabilization code
-path to trust.  ``h0_dim`` reports dimensions only; splitting types are read
-off the dual in ``bundles``, and this engine is the independent check of
-each one.
+those twists.  h^0 - h^1 = chi is therefore a cross-check between the pair
+engine and the dual, not a definition.  ``h0_dim`` reports dimensions only;
+splitting types are read off the dual in ``bundles``, and the pair engine
+is the independent check of each one.
 
 Sheaves defined as kernels are never re-presented here: elementary
 transformations write their kernel presentation down in closed form
@@ -33,18 +38,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotLocallyFree, WindowExhausted, frozen
+from .errors import WindowExhausted, frozen
 from .exactlat import (
     IntegerMatrix,
     LatticeBasis,
     kernel_lattice,
     kernel_mod,
-    rank_mod,
-    rank_of,
     rref_mod,
     span_lattice,
 )
-from .graded import GradedPresentation, degree_piece
+from .graded import GradedPresentation, degree_piece, nullity, transpose
 
 Vec = tuple[int, ...]
 
@@ -274,9 +277,7 @@ def sheaf_rank_degree(P: GradedPresentation) -> tuple[int, int]:
     low = sum(rels) - sum(max(0, a) for a in gens) - (len(rels) - 1) * max(0, top)
 
     def kernel_dim(e: int) -> int:
-        piece = degree_piece(P.map, e)
-        full = rank_mod(piece, P.base.char) if P.base.kind == "GF" else rank_of(piece)
-        return piece.cols - full
+        return nullity(degree_piece(P.map, e), P.base)
 
     if kernel_dim(-low) == 0:
         return rank, degree
@@ -289,10 +290,6 @@ def sheaf_rank_degree(P: GradedPresentation) -> tuple[int, int]:
 
 
 def h1(P: GradedPresentation, d: int = 0) -> int:
-    """h^1 = h^0 - chi, with chi(M~(d)) = r(d+1) + e from the rank and degree
-    that ``sheaf_rank_degree`` reads off the resolution twists."""
-    r, e = sheaf_rank_degree(P)
-    value = h0_dim(P, d) - (r * (d + 1) + e)
-    if value < 0:
-        raise NotLocallyFree("negative h^1; presentation is not a bundle")
-    return value
+    """Dimension of H^1 of the presented sheaf twisted by d: the kernel of
+    the degree -d-2 piece of phi^T, over Q when the base is Z."""
+    return nullity(degree_piece(transpose(P.map), -d - 2), P.base)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import CompositeModulus, frozen, schema_checked
-from .exactlat import IntegerMatrix, _echelon, is_prime
+from .exactlat import IntegerMatrix, _echelon, is_prime, rank_mod, rank_of
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +189,21 @@ def parse_form(text: str, degree: int | None = None) -> Form:
         i += 1
     for sgn, chunk in chunks:
         coeff = sgn
-        e0 = e1 = 0
+        exps = [0, 0]
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError("malformed form")
-            if factor.startswith("x0") or factor.startswith("x1"):
-                var = factor[:2]
-                rest = factor[2:]
-                if rest == "":
-                    e = 1
-                elif rest.startswith("^"):
-                    e = int(rest[1:])
-                else:
-                    raise ValueError(f"malformed factor {factor!r}")
-                if var == "x0":
-                    e0 += e
-                else:
-                    e1 += e
-            else:
-                coeff *= int(factor)
-        key = (e0, e1)
+            var, rest = factor[:2], factor[2:]
+            try:
+                if var not in ("x0", "x1"):
+                    coeff *= int(factor)
+                    continue
+                if rest and not rest.startswith("^"):
+                    raise ValueError
+                exps[int(var[1])] += int(rest[1:]) if rest else 1
+            except ValueError:
+                raise ValueError(f"malformed factor {factor!r}") from None
+        key = tuple(exps)
         terms[key] = terms.get(key, 0) + coeff
     terms = {k: v for k, v in terms.items() if v != 0}
     if not terms:
@@ -350,6 +345,22 @@ def degree_piece(phi: GradedMap, d: int) -> IntegerMatrix:
             coff += sdims[j]
         roff += tdims[i]
     return IntegerMatrix.from_rows(rows, cols=ncols)
+
+
+def transpose(phi: GradedMap) -> GradedMap:
+    """phi^T: F0^v -> F1^v.  Hom(-, O) is left exact, so the kernel of its
+    degree-t piece is Hom(coker phi, O(t)) over any base field."""
+    return GradedMap(
+        FreeGraded(tuple(-t for t in phi.target.twists)),
+        FreeGraded(tuple(-t for t in phi.source.twists)),
+        tuple(tuple(row[j] for row in phi.entries) for j in range(phi.source.rank)),
+    )
+
+
+def nullity(M: IntegerMatrix, base: Ring) -> int:
+    """Dimension of ker M over the base: mod p over GF(p), over Q otherwise,
+    which over Z is the generic dimension by flat base change."""
+    return M.cols - (rank_mod(M, base.char) if base.kind == "GF" else rank_of(M))
 
 
 # ---------------------------------------------------------------------------

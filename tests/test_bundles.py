@@ -21,6 +21,7 @@ from arithsurf.cohomology import h0_dim, sheaf_rank_degree
 from arithsurf.errors import CompositeModulus, NotLocallyFree, ParityViolation
 from arithsurf.exactlat import is_prime
 from arithsurf.graded import (
+    GF,
     Form,
     FreeGraded,
     GradedMap,
@@ -57,8 +58,8 @@ def test_type_identity_reads_each_half_from_one_value():
             half, c = e // 2, -(-e // 2)
             assert b == half + st.h0_at(-half - 1)
             assert a == c - SplittingType(-b, -a).h0_at(c - 1)
-            phi = free_presentation((a, b)).map
-            assert _dual_type(phi, e) == _dual_type(phi, e, 5) == st
+            assert _dual_type(free_presentation((a, b)), e) == st
+            assert _dual_type(free_presentation((a, b), GF(5)), e) == st
 
 
 def test_normal_form_5x0x1_matches_oracle():

@@ -348,6 +348,29 @@ def test_sizes_past_their_limit_are_usage_errors(capsys, argv, limit):
     assert f"{limit + 1} exceeds the limit {limit}" in captured.err
 
 
+def test_the_audit_key_appears_exactly_when_primes_up_to_is_given(capsys):
+    argv = ["bundle", "profile", "--generic-type", "0", "--jump", "3:1"]
+    assert "audit" not in run_cli(capsys, *argv)[1]
+    for bound, primes in (("0", []), ("1", []), ("2", ["2"]), ("5", ["2", "3", "5"])):
+        code, doc = run_cli(capsys, *argv, "--primes-up-to", bound)
+        assert code == 0 and sorted(doc["audit"]) == primes
+    for bound in ("-1", "-7"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--primes-up-to", bound])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:") and f"{bound} is negative" in captured.err
+
+
+@pytest.mark.parametrize("form, factor", [("x0^-1*x1^4", "x0^"), ("x0^4*y1", "y1"), ("x0x1^3", "x0x1^3")])
+def test_a_malformed_factor_is_named(capsys, form, factor):
+    assert main(["surface", "normal-form", "-n", "4", "-f", form]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: malformed factor {factor!r}\n"
+
+
 def test_determinism(capsys):
     code1 = main(["surface", "normal-form", "-n", "2", "-f", "3*x0*x1"])
     out1 = capsys.readouterr().out

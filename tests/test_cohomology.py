@@ -1,9 +1,11 @@
 import gc
 import random
+from math import comb
 
 import pytest
 
 from arithsurf import cohomology
+from arithsurf.bundles import bundle_handle
 from arithsurf.cohomology import (
     PairSpace,
     SectionCount,
@@ -15,6 +17,7 @@ from arithsurf.cohomology import (
     sheaf_rank_degree,
     stabilization_floor,
 )
+from arithsurf.errors import ProfileInconsistent
 from arithsurf.graded import (
     GF,
     QQ,
@@ -103,9 +106,10 @@ def random_form(rng, degree):
     return Form.make(degree, [rng.randint(-3, 3) for _ in range(degree + 1)])
 
 
-def random_column(rng, gens, cols):
+def random_column(rng, gens, cols, span=2):
     """One relation column: random, zero, a repeat of the last one, or torsion
-    (c or c*x0 times one generator, c in 2, 3, 6)."""
+    (c or c*x0 times one generator, c in 2, 3, 6).  Random and zero columns
+    have twists down to ``span`` below the lowest generator."""
     kind = rng.choice(("random", "random", "zero", "repeat", "torsion"))
     if kind == "repeat" and cols:
         return cols[-1]
@@ -114,7 +118,7 @@ def random_column(rng, gens, cols):
         rt = gens[i] - rng.randint(0, 1)
         entry = Form.make(gens[i] - rt, [rng.choice((2, 3, 6))] + [0] * (gens[i] - rt))
         return rt, [entry if j == i else Form.zero(a - rt) for j, a in enumerate(gens)]
-    rt = min(gens) - rng.randint(0, 2)
+    rt = min(gens) - rng.randint(0, span)
     if kind == "zero":
         return rt, [Form.zero(a - rt) for a in gens]
     return rt, [random_form(rng, a - rt) for a in gens]
@@ -179,6 +183,103 @@ def test_oracle_h0_on_a_sheaf_that_is_torsion_in_every_fiber():
 )
 def test_h0_dim_on_a_sheaf_that_is_torsion_in_every_fiber():
     assert defect_h0_table(h0_dim) == {p: [v] * 10 for p, v in DEFECT_H0.items()}
+
+
+def substitute(f, k):
+    """f(x0 + k*x1, x1): coefficients by decreasing x0-power."""
+    d = f.degree
+    out = [0] * (d + 1)
+    for j, c in enumerate(f.coeffs):
+        for i in range(d - j + 1):
+            out[j + i] += c * comb(d - j, i) * k**i
+    return Form(d, tuple(out))
+
+
+def substituted_normal_form(n, f, k):
+    """The normal-form presentation pulled back along x0 -> x0 + k*x1, an
+    automorphism of the line over Z: every splitting type is unchanged."""
+    column = [substitute(g, k) for g in (Form.monomial(n, 0), Form.monomial(n, n), f)]
+    return cokernel_presentation((0, 0, 0), [(-n, column)])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ProfileInconsistent,
+    reason="h0_dim still scans pair spaces to a stopping rule (ROADMAP item 1b)",
+)
+def test_profile_is_invariant_under_a_substitution():
+    forms = [(4, (0, 0, 0, 0, 0)), (5, (4, 4, 1, -5, -2, -5)), (6, (2, 4, 2, 0, -1, -2, -3))]
+    for n, c in forms:
+        f = Form.make(n, c)
+        expect = bundle_handle(substituted_normal_form(n, f, 0)).profile
+        assert bundle_handle(substituted_normal_form(n, f, 1)).profile == expect
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="h0_dim still scans pair spaces to a stopping rule (ROADMAP item 1b)",
+)
+def test_h0_minus_h1_is_chi_after_a_substitution():
+    # coker((x0+x1)^4, x1^4, 0) has type (0, 4): h^0 = 1 and h^1 = 3 at d = -4
+    P = substituted_normal_form(4, Form.zero(4), 1)
+    r, e = sheaf_rank_degree(P)
+    assert (oracle_h0(P, -4), h1(P, -4), r * -3 + e) == (1, 3, -2)
+    assert h0_dim(P, -4) - h1(P, -4) == r * -3 + e
+
+
+def test_h1_on_a_sheaf_that_is_torsion_in_every_fiber():
+    # a torsion sheaf has no H^1, over Z and in every fiber
+    assert defect_h0_table(h1) == {p: [0] * 10 for p in DEFECT_H0}
+
+
+def test_h1_of_a_balanced_normal_form_of_degree_12():
+    # type (6, 6): h^1 = 2 max(0, -d-7)
+    P = normal_form_presentation(12, Form.monomial(12, 6, 6))
+    assert [h1(P, d) for d in range(-9, -3)] == [4, 2, 0, 0, 0, 0]
+
+
+def test_h1_never_reaches_the_pair_engine(monkeypatch):
+    nf = normal_form_presentation(3, Form.make(3, (2, -1, 0, 5)))
+    B, pt = bundle_handle(nf), prescribed_types(2, [(2, 1), (3, 2)])
+    cases = [(nf, B.profile.generic), (pt.presentation, pt.profile.generic),
+             (reduce_mod(nf, 3), B.profile.at(3))]
+
+    def refuse(P, d):
+        raise AssertionError("pair engine reached")
+
+    monkeypatch.setattr(cohomology, "_section_space_cached", refuse)
+    for P, st in cases:
+        expect = [max(0, -st.a - d - 1) + max(0, -st.b - d - 1) for d in range(-8, 4)]
+        assert [h1(P, d) for d in range(-8, 4)] == expect
+        assert expect[0] > 0 and expect[-1] == 0
+
+
+def differential_column(rng, gens, cols):
+    """A scaled copy of the last column, or a column of ``random_column``
+    with twists down to four below the lowest generator."""
+    if cols and rng.random() < 0.2:
+        rt, col = cols[-1]
+        return rt, [f.scale(rng.choice((-2, 2, 3))) for f in col]
+    return random_column(rng, gens, cols, span=4)
+
+
+def test_h1_is_oracle_h0_minus_chi():
+    # 75 presentations with 1-3 generators and 0-3 relations, each over Z
+    # and mod 2, 3 and 5 at two twists: 600 queries
+    rng = random.Random(1)
+    queries = 0
+    for _ in range(75):
+        gens = tuple(rng.randint(-2, 2) for _ in range(rng.randint(1, 3)))
+        cols = []
+        for _ in range(rng.randint(0, 3)):
+            cols.append(differential_column(rng, gens, cols))
+        P = cokernel_presentation(gens, cols)
+        for Q in (P, reduce_mod(P, 2), reduce_mod(P, 3), reduce_mod(P, 5)):
+            r, e = sheaf_rank_degree(Q)
+            for d in rng.sample(range(-5, 5), 2):
+                assert h1(Q, d) == oracle_h0(Q, d) - (r * (d + 1) + e), (Q.map.to_json(), d)
+                queries += 1
+    assert queries == 600
 
 
 def test_rank_degree_never_reaches_the_pair_engine(monkeypatch):
