@@ -138,6 +138,16 @@ class SplittingProfile:
         }
 
 
+def _fnv1a_64(data: bytes) -> str:
+    """64-bit FNV-1a digest (Fowler, Noll and Vo) as 16 hex digits.  A label
+    for a presentation, not a guard against tampering; ``hashlib`` would map
+    OpenSSL's libcrypto, several MB resident, for this one digest."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
+
+
 @frozen
 class BundleHandle:
     """A verified rank-2 locally free sheaf with the presentation it was given
@@ -149,10 +159,8 @@ class BundleHandle:
     profile: SplittingProfile
 
     def identifier(self) -> str:
-        import hashlib  # maps OpenSSL's libcrypto, so only when an id is asked for
-
         blob = json.dumps(self.presentation.to_json(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _fnv1a_64(blob.encode())
 
     def to_json(self) -> dict:
         return {

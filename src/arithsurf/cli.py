@@ -82,10 +82,15 @@ def _meta() -> dict:
     return {"tool": "arithsurf", "version": __version__}
 
 
-def _print_document(doc: dict, status: int) -> int:
-    """Print ``doc`` and return ``status``, or 1 if the reader closed stdout."""
+def _document_text(doc: dict) -> str:
+    """The text of a document, the same on stdout and in an ``--output`` file."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _print_document(text: str, status: int) -> int:
+    """Print ``text`` and return ``status``, or 1 if the reader closed stdout."""
     try:
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at the null device so that the interpreter's final
@@ -96,22 +101,18 @@ def _print_document(doc: dict, status: int) -> int:
     return status
 
 
-def _emit(payload: dict) -> int:
-    return _print_document({"meta": _meta(), **payload}, 0)
-
-
 def _emit_error(exc: ArithsurfError) -> int:
     doc = {"meta": _meta(), "error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, InternalInconsistency):
         doc["stage"] = exc.stage
-        return _print_document(doc, 3)
+        return _print_document(_document_text(doc), 3)
     extra = getattr(exc, "witness", None)
     if extra is not None:
         doc["witness"] = extra.to_json()
     degree = getattr(exc, "degree", None)
     if degree is not None:
         doc["degree"] = degree
-    return _print_document(doc, 2)
+    return _print_document(_document_text(doc), 2)
 
 
 def _parse_jump(text: str):
@@ -203,11 +204,11 @@ def _profile_payload(B, audit_bound: int | None) -> dict:
     return payload
 
 
-def _write_output(args, payload):
+def _write_output(args, text: str):
     if getattr(args, "output", None):
         try:
             with open(args.output, "w") as fh:
-                json.dump({"meta": _meta(), **payload}, fh, indent=2)
+                fh.write(text)
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output}: {exc}") from exc
 
@@ -325,6 +326,7 @@ def _run_selftest(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
         if args.command == "bundle":
             payload = _run_bundle(args)
@@ -336,16 +338,17 @@ def main(argv=None) -> int:
             payload = _run_delpezzo(args)
         elif args.command == "selftest":
             payload = _run_selftest(args)
-            return _print_document({"meta": _meta(), **payload}, 0 if payload["passed"] else 2)
+            status = 0 if payload["passed"] else 2
         else:  # pragma: no cover
             raise ValueError(f"unknown command {args.command}")
-        _write_output(args, payload)
+        text = _document_text({"meta": _meta(), **payload})
+        _write_output(args, text)
     except ArithsurfError as exc:
         return _emit_error(exc)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    return _emit(payload)
+    return _print_document(text, status)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from arithsurf.bundles import (
     SplittingType,
     _dual_type,
     _fitting_minors,
+    _fnv1a_64,
     audit_splitting,
     bundle_handle,
     check_parity,
@@ -112,6 +117,35 @@ def test_types_at_a_prime_refuse_other_moduli(p):
         splitting_type(B, p)
     with pytest.raises(CompositeModulus):
         audit_splitting(B, p)
+
+
+@pytest.mark.parametrize(
+    "data, digest",
+    [(b"", "cbf29ce484222325"), (b"a", "af63dc4c8601ec8c"), (b"foobar", "85944171f73967e8")],
+)
+def test_fnv1a_64_published_vectors(data, digest):
+    assert _fnv1a_64(data) == digest
+
+
+# 64-bit FNV-1a of the canonical JSON of prescribed_types(1, [(5, 2)])
+PINNED_ID = "f6cd1a1d5f244cc9"
+
+
+def test_identifier_is_pinned():
+    assert prescribed_types(1, [(5, 2)]).identifier() == PINNED_ID
+
+
+def test_identifier_does_not_depend_on_the_hash_seed():
+    script = "import arithsurf.transforms as t; print(t.prescribed_types(1, [(5, 2)]).identifier())"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    ids = [
+        subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, timeout=60, check=True,
+        ).stdout.split()
+        for seed in ("0", "1")
+    ]
+    assert ids == [[PINNED_ID], [PINNED_ID]]
 
 
 def test_normalize():

@@ -114,6 +114,22 @@ def test_bundle_round_trip_through_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["bundle", "build", "--generic-type", "1", "--jump", "5:2"],
+        ["transform", "factorize", "--generic-type", "1", "--prime", "3", "--twist", "0", "--g", "x0", "--h", "x1^2"],
+        ["surface", "normal-form", "-n", "2", "-f", "5*x0*x1"],
+        ["delpezzo", "classify", "--points", "1:0:0,0:1:0,0:0:1,1:1:1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_output_file_equals_stdout_byte_for_byte(tmp_path, capsys, argv):
+    out = tmp_path / "doc.json"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize(
     "content",
     [
         '{"presentation": {"base": "ZZ", "map": {"source_twists": [], "target_twists": [0, -1]}}}',
@@ -189,25 +205,15 @@ def test_transform_apply_on_a_normal_form(capsys):
 
 
 def test_transform_factorize(capsys):
-    code, doc = run_cli(
-        capsys,
-        "transform",
-        "factorize",
-        "--generic-type",
-        "1",
-        "--prime",
-        "3",
-        "--twist",
-        "0",
-        "--g",
-        "x0",
-        "--h",
-        "x1^2",
-    )
+    args = ["--generic-type", "1", "--prime", "3", "--twist", "0", "--g", "x0", "--h", "x1^2"]
+    code, doc = run_cli(capsys, "transform", "factorize", *args)
     assert code == 0
     rec = doc["factorization"]
     assert rec["p"] == "3"
     assert rec["center_V"]["degree"] == 1
+    code, applied = run_cli(capsys, "transform", "apply", *args)
+    assert code == 0
+    assert (rec["source"], rec["target"]) == (applied["source"]["id"], applied["bundle"]["id"])
 
 
 def test_transform_factorize_refuses_a_quotient_that_is_not_onto(capsys):

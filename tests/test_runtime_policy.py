@@ -1,7 +1,8 @@
 """The runtime imports only the standard library, reads no environment,
 imports nothing at module level that it does not use, and gives every
-``lru_cache`` an integer bound unless an allowlist names it.  The bundle
-layers load OpenSSL (through ``hashlib``) only when a bundle id is asked for.
+``lru_cache`` an integer bound unless an allowlist names it.  No module
+imports ``hashlib``, ``ssl`` or ``hmac``, so no process maps OpenSSL, not
+even one that prints a bundle id.
 
 Every module of the package is parsed, not imported, so the check also
 covers imports that sit inside functions.  The CLI module imports no layer
@@ -165,35 +166,23 @@ def test_cache_policy_flags_an_unbounded_cache():
     assert _cache_bounds(tree, "m") == {"m.a": None, "m.b": None, "m.c": None, "m.d": 8, "m.e": 128, "m.f": 16}
 
 
-def test_bundle_layers_load_no_openssl_until_an_id_is_asked_for():
-    # hashlib maps OpenSSL's libcrypto, several MB of resident memory, and
-    # only BundleHandle.identifier needs it
-    script = (
-        "import sys\n"
-        "import arithsurf.bundles, arithsurf.hirzebruch, arithsurf.transforms\n"
-        "print('_hashlib' in sys.modules)\n"
-        "print(arithsurf.transforms.prescribed_types(1, [(5, 2)]).identifier())\n"
-        "print('_hashlib' in sys.modules)\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "2c9eaf897bf4d49f", "True"]
-
-
 CODEGEN_BUILTINS = ("exec", "eval", "compile")
 
 
-def _codegen_and_dataclasses(tree: ast.AST) -> list[str]:
+def _imports_of(tree: ast.AST, modules) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name == "dataclasses"]
-        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-            found.append(f"line {node.lineno}: from dataclasses import ...")
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CODEGEN_BUILTINS:
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name.split(".")[0] in modules]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in modules:
+            found.append(f"line {node.lineno}: from {node.module} import ...")
+    return found
+
+
+def _codegen_and_dataclasses(tree: ast.AST) -> list[str]:
+    found = _imports_of(tree, ("dataclasses",))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CODEGEN_BUILTINS:
             found.append(f"line {node.lineno}: {node.func.id}()")
     return found
 
@@ -210,6 +199,25 @@ def test_codegen_policy_flags_each_form():
         "exec('x = 1')\neval('1')\ncompile('1', 's', 'eval')\nre.compile('x')\n"
     )
     assert len(_codegen_and_dataclasses(tree)) == 5
+
+
+# hashlib, ssl and hmac map OpenSSL's libcrypto, several MB of resident
+# memory; bundle ids come from bundles._fnv1a_64 instead
+OPENSSL_MODULES = ("hashlib", "_hashlib", "ssl", "_ssl", "hmac")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_openssl(path):
+    assert _imports_of(ast.parse(path.read_text(), str(path)), OPENSSL_MODULES) == []
+
+
+def _run_python(script: str) -> str:
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def test_commands_load_neither_dataclasses_nor_inspect():
@@ -230,9 +238,17 @@ def test_commands_load_neither_dataclasses_nor_inspect():
         ),
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))",
     ])
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["[]"]
+    assert _run_python(script).split() == ["[]"]
+
+
+def test_layers_ids_and_a_bundle_command_load_no_openssl():
+    layers = [f"arithsurf.{path.stem}" for path in SOURCES if path.stem != "__init__"]
+    script = "\n".join([
+        "import contextlib, io, sys",
+        f"import {', '.join(layers)}",
+        "print(arithsurf.transforms.prescribed_types(1, [(5, 2)]).identifier())",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert arithsurf.cli.main(['bundle', 'build', '--generic-type', '1', '--jump', '5:2']) == 0",
+        "print(sorted(m for m in ('_hashlib', '_ssl') if m in sys.modules))",
+    ])
+    assert _run_python(script).split() == ["f6cd1a1d5f244cc9", "[]"]
