@@ -10,37 +10,31 @@ criteria.  The full-row eliminations ``reference_rref_mod``,
 before they learned to rewrite only the live tail of each row; the kernels
 must give exactly their outputs.
 
-The exceptions are the two engines at the end.  The section-lattice engine
-re-presents a kernel-defined sheaf from a window of its stabilized section
-lattices, extracting generators and syzygies degreewise (with
-``quotient_group_data`` for the quotients), and stands as the reference for
-the closed forms of the package: ``resaturate`` feeds it a sheaf's own
-section lattices, and ``apply_full``/``restricted_quotient`` compute an
-elementary transformation through it, with the fitted
-``_kernel_quotient_degree`` as the reference for the blow-up record.
-``splitting_scan`` reads a splitting type off one pair-engine h^0 value and
-checks it against the Hilbert pattern, the reference for the types that
-``bundles`` reads off the dual, and ``probe_rank_degree`` reads rank and
-degree off pair-engine h^0 values at large twists, the reference for the
-resolution-twist formula of ``cohomology.sheaf_rank_degree``.
+The exceptions, at the end, use exactlat's integer lattices, but no part of
+the runtime's pair engine: they read sections at the one exponent e* of
+``oracle_h0``, where the pair space is H^0 as a group (Eisenbud, GTM 229,
+App. 1).  ``section_lattices`` holds H^0(M~(d)) over a window of twists as
+lattices (K, B) at e* of the first twist, built with the pair matrices of
+``selftest._oracle_pair_dim``.  ``apply_full``/``restricted_quotient``
+compute an elementary transformation through them, the reference for the
+closed forms of the package: the kernel's sections at one twist fixed by
+the twists, with their linear syzygies, present it (Castelnuovo-Mumford),
+so no window is scanned or grown.  ``_kernel_quotient_degree`` fits the
+degree of the blow-up record from the fiber map on the same lattices.
+``splitting_scan`` reads a splitting type off one ``oracle_h0`` value and
+checks its Hilbert pattern, the reference for the types that ``bundles``
+reads off the dual, and ``probe_rank_degree`` reads rank and degree off
+``oracle_h0`` past the generator twists, the reference for
+``cohomology.sheaf_rank_degree``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import gcd
 
-from arithsurf.bundles import BundleHandle, SplittingType, _check_pattern, bundle_handle
-from arithsurf.cohomology import (
-    FpSpan,
-    _pair_data,
-    h0_dim,
-    section_space,
-    sheaf_rank_degree,
-    shift_pair_vector,
-)
-from arithsurf.errors import CompositeModulus, NotLocallyFree, ProfileInconsistent, WindowExhausted
+from arithsurf.bundles import BundleHandle, SplittingType, bundle_handle
+from arithsurf.errors import CompositeModulus, NotLocallyFree, ProfileInconsistent
 from arithsurf.exactlat import (
     IntegerMatrix,
     LatticeBasis,
@@ -51,13 +45,17 @@ from arithsurf.exactlat import (
     rank_of,
     span_lattice,
 )
-from arithsurf.graded import QQ, ZZ, Form, FreeGraded, GradedMap, GradedPresentation, free_presentation
+from arithsurf.graded import QQ, ZZ, Form, GradedPresentation, cokernel_presentation, free_presentation
+from arithsurf.selftest import (
+    _oracle_rel_matrix,
+    _oracle_syzygy_twists,
+    _piece_dims,
+    oracle_h0,
+    oracle_splitting,
+)
 from arithsurf.transforms import FiberQuotient, _assert_transform_contract, validate_quotient
 
 Vec = tuple[int, ...]
-
-# Margin added to the section-lattice windows below.
-WINDOW_GUARD = 4
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +424,6 @@ def lattice_contains(L: LatticeBasis, v) -> bool:
         return False
 
 
-def lattice_sum(L: LatticeBasis, other: LatticeBasis) -> LatticeBasis:
-    if L.ambient != other.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return LatticeBasis.from_vectors(L.ambient, L.vectors() + other.vectors())
-
-
 def rank_over(M: IntegerMatrix, base) -> int:
     """Rank of ``M`` over the rationals or over a prime field.
 
@@ -447,122 +439,89 @@ def rank_over(M: IntegerMatrix, base) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the section-lattice engine: pair multiplication maps
+# section lattices at the one exact exponent
 
 
-@lru_cache(maxsize=None)
-def monomial_mult_matrix(var: int, e: int, s: int) -> IntegerMatrix:
-    """Multiplication by x_var^e from degree-s to degree-(s+e) monomials."""
-    if s < 0:
-        return IntegerMatrix.zero(max(0, s + e + 1), 0)
-    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
-    for k in range(s + 1):
-        rows[k + (e if var == 1 else 0)][k] = 1
-    return IntegerMatrix.from_rows(rows, cols=s + 1)
+def exact_exponent(P: GradedPresentation, d: int) -> int:
+    """The exponent e*(d) of ``selftest.oracle_h0``: max(0, -t-d-1) over the
+    twists t of F1 and of F2 = ker(phi).  It falls as d grows, so e*(d_min)
+    serves every twist of a window that starts at d_min."""
+    twists = list(P.map.source.twists) + _oracle_syzygy_twists(P)
+    return max([0] + [-t - d - 1 for t in twists])
 
 
-def pair_mult_matrix(P: GradedPresentation, d: int, e: int, var: int) -> IntegerMatrix:
-    """Multiplication by x_var on pair spaces: twist d -> d+1 at fixed e."""
-    gens = P.generators
-    fdims = gens.piece_dims(d + e)
-    f2dims = gens.piece_dims(d + 1 + e)
-    f, f2 = sum(fdims), sum(f2dims)
-    rows = [[0] * (2 * f) for _ in range(2 * f2)]
-    roff = coff = 0
-    for a, fd, fd2 in zip(gens.twists, fdims, f2dims):
-        s = a + d + e
-        if fd > 0 and fd2 > 0:
-            blk = monomial_mult_matrix(var, 1, s)
-            for r in range(fd2):
-                for c in range(fd):
-                    x = blk.at(r, c)
-                    if x:
-                        rows[roff + r][coff + c] = x
-                        rows[f2 + roff + r][f + coff + c] = x
-        roff += fd2
-        coff += fd
-    return IntegerMatrix.from_rows(rows, cols=2 * f)
+def pair_lattices(P: GradedPresentation, d: int, e: int) -> tuple[LatticeBasis, LatticeBasis]:
+    """The pair space of ``selftest._oracle_pair_dim`` as two lattices (K, B).
 
-
-def pair_mult_vector(P: GradedPresentation, d: int, e: int, var: int, vec):
-    """Multiplication by x_var on a pair vector: twist d -> d+1 at fixed e."""
-    return shift_pair_vector(P, d, e, vec, var, var)
-
-
-# ---------------------------------------------------------------------------
-# lattice families over a window
-
-
-@dataclass(frozen=True)
-class FamilyPiece:
-    d: int
-    K: LatticeBasis | FpSpan
-    B: LatticeBasis | FpSpan
-    dim: int
-
-
-@dataclass(frozen=True)
-class SectionLatticeFamily:
-    """Window of section lattices H^0(M~(d)) with multiplication maps.
-
-    All pieces live at one common pair exponent so the multiplication maps
-    by x0 and x1 align; each lattice is the stabilized (full) section
-    lattice, i.e. saturated in the colimit sense: no finite-index defect.
+    K holds the pairs (u, v) of degree-(d+e) generator vectors with
+    x1^e u - x0^e v in the image of phi, B the pairs of relation images.
+    From e = e*(d) on, K/B is H^0(M~(d)) as a group, not only in rank: the
+    Koszul comparison behind ``oracle_h0`` is one of free modules with
+    monomial bases, so it holds over Z.  Each generator's segment of u and v
+    lists its monomials x0^(s-k) x1^k by k.
     """
+    gens = P.map.target.twists
+    fdims, gdims = _piece_dims(gens, d + e), _piece_dims(gens, d + 2 * e)
+    f = sum(fdims)
+    if not f:
+        empty = LatticeBasis.from_vectors(0, [])
+        return empty, empty
+    stacked = [[0] * (2 * f) + row for row in _oracle_rel_matrix(P, d + 2 * e)]
+    roff = coff = 0
+    for fd, gd in zip(fdims, gdims):
+        for k in range(fd):
+            stacked[roff + k + e][coff + k] = 1  # x1^e u
+            stacked[roff + k][f + coff + k] = -1  # -x0^e v
+        roff += gd
+        coff += fd
+    kernel = kernel_lattice(IntegerMatrix.from_rows(stacked, cols=len(stacked[0])))
+    K = LatticeBasis.from_vectors(2 * f, [v[: 2 * f] for v in kernel.vectors()])
+    phi1 = _oracle_rel_matrix(P, d + e)
+    zero = (0,) * f
+    images = [tuple(row[j] for row in phi1) for j in range(len(phi1[0]))]
+    B = LatticeBasis.from_vectors(2 * f, [c + zero for c in images] + [zero + c for c in images])
+    return K, B
+
+
+def pair_times(P: GradedPresentation, d: int, e: int, var: int, vec) -> Vec:
+    """Multiplication by x_var from twist d to d + 1 on a pair vector at
+    exponent e: x0 appends a zero to each generator's segment, x1 prepends
+    one."""
+    gens = P.map.target.twists
+    dims = _piece_dims(gens, d + e)
+    f = sum(dims)
+    out = []
+    for half in (vec[:f], vec[f:]):
+        off = 0
+        for a, dim in zip(gens, dims):
+            seg = list(half[off : off + dim])
+            off += dim
+            if a + d + e + 1 >= 0:
+                out.extend(seg + [0] if var == 0 else [0] + seg)
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class SectionLattices:
+    """H^0(M~(d)) for d from ``d_min`` on, as pair lattices (K, B) at one
+    exponent, so that multiplication by x0 and x1 maps each into the next."""
 
     presentation: GradedPresentation
     d_min: int
-    d_max: int
     exponent: int
-    pieces: tuple[FamilyPiece, ...]
+    pieces: tuple[tuple[LatticeBasis, LatticeBasis], ...]
 
-    def piece(self, d: int) -> FamilyPiece:
-        if not (self.d_min <= d <= self.d_max):
-            raise KeyError(f"twist {d} outside family window")
-        return self.pieces[d - self.d_min]
+    def twists(self) -> range:
+        return range(self.d_min, self.d_min + len(self.pieces))
 
-    def mult_matrix(self, d: int, var: int) -> IntegerMatrix:
-        return pair_mult_matrix(self.presentation, d, self.exponent, var)
-
-    def mult_vec(self, d: int, var: int, vec):
-        return pair_mult_vector(self.presentation, d, self.exponent, var, vec)
-
-    def rank(self, d: int) -> int:
-        return self.piece(d).dim
-
-    def to_json(self) -> dict:
-        return {
-            "window": [self.d_min, self.d_max],
-            "exponent": self.exponent,
-            "pieces": [
-                {
-                    "twist": pc.d,
-                    "dim": pc.dim,
-                    "sections": [[str(c) for c in v] for v in pc.K.vectors()],
-                    "relations": [[str(c) for c in v] for v in pc.B.vectors()],
-                }
-                for pc in self.pieces
-            ],
-        }
+    def mult(self, d: int, var: int, vec) -> Vec:
+        return pair_times(self.presentation, d, self.exponent, var, vec)
 
 
-def lattice_family(P: GradedPresentation, window: tuple[int, int]) -> SectionLatticeFamily:
-    """Family of stabilized section lattices over ``window = (d_min, d_max)``."""
-    d_min, d_max = window
-    if d_min > d_max:
-        raise ValueError("empty window")
-    stab = [section_space(P, d) for d in range(d_min, d_max + 1)]
-    e_star = max(s.e for s in stab)
-    pieces = []
-    for s in stab:
-        cur = _pair_data(P, s.d, e_star)
-        if cur.dim != s.dim:
-            raise WindowExhausted(
-                f"pair space at twist {s.d} changed between exponents "
-                f"{s.e} and {e_star}"
-            )
-        pieces.append(FamilyPiece(s.d, cur.K, cur.B, cur.dim))
-    return SectionLatticeFamily(P, d_min, d_max, e_star, tuple(pieces))
+def section_lattices(P: GradedPresentation, d_min: int, d_max: int) -> SectionLattices:
+    """Section lattices at twists d_min..d_max, all at the exponent e*(d_min)."""
+    e = exact_exponent(P, d_min)
+    return SectionLattices(P, d_min, e, tuple(pair_lattices(P, d, e) for d in range(d_min, d_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -677,186 +636,6 @@ def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int
     return gens, orders
 
 
-# ---------------------------------------------------------------------------
-# sections -> presentation engine
-
-
-@dataclass(frozen=True)
-class PieceProvider:
-    """Window of section lattices handed to the presentation engine.
-
-    ``lattices[i]`` is the pair (K, B) at twist ``d_min + i``; ``mult_vec``
-    applies multiplication by x0 or x1 to an ambient vector at a twist.
-    """
-
-    d_min: int
-    d_max: int
-    lattices: tuple[tuple[LatticeBasis, LatticeBasis], ...]
-    mult_vec: object
-
-    def piece(self, d: int) -> tuple[LatticeBasis, LatticeBasis]:
-        return self.lattices[d - self.d_min]
-
-
-@dataclass(frozen=True)
-class GeneratorLineage:
-    """Chosen module generators as explicit section vectors."""
-
-    degrees: tuple[int, ...]
-    vectors: tuple[Vec, ...]
-
-
-def presentation_from_sections(provider: PieceProvider, base) -> tuple[GradedPresentation, GeneratorLineage]:
-    """Extract generators and syzygies degreewise; emit a cokernel presentation.
-
-    New generators are needed at twist d exactly when multiplication from
-    twist d-1 fails to surject onto the section lattice (as groups, so
-    torsion cokernels count).  Syzygies are collected the same way in the
-    coefficient spaces.  The window must contain two consecutive clean
-    degrees for both scans past the last new generator; otherwise the
-    provider window was too small and WindowExhausted is raised.
-    """
-    d0, d1 = provider.d_min, provider.d_max
-    gens: list[tuple[int, Vec]] = []
-    gen_mono_vecs: list[dict[tuple[int, int], Vec]] = []
-    rels: list[tuple[int, list[tuple[int, ...]]]] = []
-
-    prev_K: LatticeBasis | None = None
-    prev_R: LatticeBasis | None = None
-    prev_rel_coords: list[tuple[int, int]] = []
-    clean_streak = 0
-    saw_generator = False
-
-    for d in range(d0, d1 + 1):
-        K, B = provider.piece(d)
-        ambient = K.ambient
-        # ----- generators
-        carried: list[Vec] = list(B.vectors())
-        if prev_K is not None:
-            for v in prev_K.vectors():
-                carried.append(provider.mult_vec(d - 1, 0, v))
-                carried.append(provider.mult_vec(d - 1, 1, v))
-        new_gens, _ = quotient_group_data(K, carried)
-        for v in new_gens:
-            gens.append((d, v))
-            gen_mono_vecs.append({(0, 0): v})
-            saw_generator = True
-        # push every generator's monomial table up to degree d
-        for (dg, _), table in zip(gens, gen_mono_vecs):
-            m = d - dg
-            if m <= 0:
-                continue
-            for (i, j) in [(m - j, j) for j in range(m + 1)]:
-                if (i, j) in table:
-                    continue
-                if i > 0 and (i - 1, j) in table:
-                    table[(i, j)] = provider.mult_vec(d - 1, 0, table[(i - 1, j)])
-                elif j > 0 and (i, j - 1) in table:
-                    table[(i, j)] = provider.mult_vec(d - 1, 1, table[(i, j - 1)])
-        # ----- syzygies among the generators at this degree
-        rel_coords: list[tuple[int, int]] = []  # (generator index, x1-exponent)
-        ev_cols: list[Vec] = []
-        for gidx, (dg, _) in enumerate(gens):
-            m = d - dg
-            if m < 0:
-                continue
-            table = gen_mono_vecs[gidx]
-            for j in range(m + 1):
-                rel_coords.append((gidx, j))
-                ev_cols.append(table[(m - j, j)])
-        R = _kernel_mod_span(ev_cols, B, ambient)
-        carried_rels: list[Vec] = []
-        if prev_R is not None:
-            index_map = {rc: i for i, rc in enumerate(rel_coords)}
-            for c in prev_R.vectors():
-                for var in (0, 1):
-                    pushed = [0] * len(rel_coords)
-                    ok = True
-                    for (gidx, j), coef in zip(prev_rel_coords, c):
-                        jj = j + (1 if var == 1 else 0)
-                        key = (gidx, jj)
-                        if coef and key not in index_map:
-                            ok = False
-                            break
-                        if key in index_map:
-                            pushed[index_map[key]] += coef
-                    if ok:
-                        carried_rels.append(tuple(pushed))
-        new_rels, _ = quotient_group_data(R, carried_rels)
-        for c in new_rels:
-            rels.append((d, [(rel_coords[i], c[i]) for i in range(len(c))]))
-        clean = not new_gens and not new_rels and saw_generator
-        clean_streak = clean_streak + 1 if clean else 0
-        prev_K, prev_R, prev_rel_coords = K, R, rel_coords
-    if not saw_generator:
-        # zero sheaf on the window: empty presentation
-        empty = FreeGraded(())
-        pres = GradedPresentation(base, GradedMap(empty, empty, ()))
-        return pres, GeneratorLineage((), ())
-    if clean_streak < 2:
-        raise WindowExhausted(
-            "generator/syzygy extraction did not settle inside the window"
-        )
-    gen_twists = tuple(-dg for dg, _ in gens)
-    columns = []
-    for dr, coeff_items in rels:
-        forms = []
-        for gidx, (dg, _) in enumerate(gens):
-            m = dr - dg
-            if m < 0:
-                forms.append(Form.zero(m))
-                continue
-            coeffs = [0] * (m + 1)
-            for (gi, j), c in coeff_items:
-                if gi == gidx:
-                    coeffs[j] = c
-            forms.append(Form(m, tuple(coeffs)))
-        columns.append((-dr, forms))
-    src = FreeGraded(tuple(t for t, _ in columns))
-    tgt = FreeGraded(gen_twists)
-    entries = tuple(
-        tuple(columns[j][1][i] for j in range(len(columns))) for i in range(tgt.rank)
-    )
-    pres = GradedPresentation(base, GradedMap(src, tgt, entries))
-    lineage = GeneratorLineage(tuple(dg for dg, _ in gens), tuple(v for _, v in gens))
-    return pres, lineage
-
-
-def provider_from_family(family: SectionLatticeFamily, restrict=None) -> PieceProvider:
-    """PieceProvider over a family window.
-
-    ``restrict`` may replace each section lattice by a sublattice (the kernel
-    of a fiber quotient, say); it receives ``(d, K, B)`` and must return a
-    lattice between B and K.
-    """
-    lats = []
-    for d in range(family.d_min, family.d_max + 1):
-        pc = family.piece(d)
-        K = pc.K if restrict is None else restrict(d, pc.K, pc.B)
-        lats.append((K, pc.B))
-    return PieceProvider(family.d_min, family.d_max, tuple(lats), family.mult_vec)
-
-
-def first_section_twist(P: GradedPresentation) -> int | None:
-    """Smallest twist with a nonzero section space, or None if none shows up.
-
-    The scan starts below -(|degree| + guard) where the generation bound
-    forces sections of any bundle quotient to be absent, and gives up one
-    guard past the twist span.  The degree that sets the scan range comes
-    from ``cohomology.sheaf_rank_degree`` (the resolution-twist formula,
-    checked against ``probe_rank_degree`` in the tests); the sections come
-    from the pair engine.
-    """
-    r, e = sheaf_rank_degree(P)
-    guard = 2 + max((abs(t) for t in P.all_twists()), default=0)
-    d = -(abs(e) + guard)
-    while d <= abs(e) + guard:
-        if h0_dim(P, d) > 0:
-            return d
-        d += 1
-    return None
-
-
 def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> LatticeBasis:
     """Lattice { c : sum c_i columns_i lies in span(B) }."""
     n = len(columns)
@@ -875,34 +654,6 @@ def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> Latti
 
 
 # ---------------------------------------------------------------------------
-# resaturation: the presentation engine on a sheaf's own section lattices
-
-
-def resaturate(P: GradedPresentation) -> tuple[GradedPresentation, GeneratorLineage, SectionLatticeFamily]:
-    """Re-present a sheaf from its section lattices.
-
-    The result presents the same sheaf, with module pieces equal to the full
-    section lattices from the first section twist on, so sections can be
-    written against the generators directly.
-    """
-    d0 = first_section_twist(P)
-    if d0 is None:
-        raise NotLocallyFree("sheaf has no sections at any probe twist")
-    span = P.twist_span()
-    extra = 0
-    for _ in range(4):
-        window = (d0, d0 + span + WINDOW_GUARD + 2 + extra)
-        family = lattice_family(P, window)
-        provider = provider_from_family(family)
-        try:
-            pres, lineage = presentation_from_sections(provider, P.base)
-            return pres, lineage, family
-        except WindowExhausted:
-            extra += 4
-    raise WindowExhausted("resaturation window kept growing without settling")
-
-
-# ---------------------------------------------------------------------------
 # fiber images of sections
 
 
@@ -918,12 +669,12 @@ def fiber_value(
     The pair (u, v) satisfies q(u) = x0^e w and q(v) = x1^e w mod p for a
     unique w, which is returned as its coefficient tuple (empty when m+d < 0).
     """
-    gens = P.generators
-    fdims = gens.piece_dims(d + e)
+    twists = P.map.target.twists
+    fdims = _piece_dims(twists, d + e)
     f = sum(fdims)
     u, v = vector[:f], vector[f:]
-    qu = _row_apply(q, gens.twists, fdims, d + e, u)
-    qv = _row_apply(q, gens.twists, fdims, d + e, v)
+    qu = _row_apply(q, twists, fdims, d + e, u)
+    qv = _row_apply(q, twists, fdims, d + e, v)
     p = q.p
     target = q.m + d
     w = [0] * (target + 1) if target >= 0 else []
@@ -958,158 +709,133 @@ def _row_apply(q: FiberQuotient, twists, fdims, deg, coords):
     return out
 
 
+def _fiber_values(P, q, d, e, vecs) -> list[list[int]]:
+    """The fiber map on sections of E(d): column j is the image of vecs[j]."""
+    return [list(row) for row in zip(*(fiber_value(P, q, d, e, v) for v in vecs))]
+
+
+def _kernel_piece(P, q, d, e, K: LatticeBasis) -> LatticeBasis:
+    """Sublattice of sections whose fiber image vanishes: the lifts of the
+    kernel mod p, and p*K."""
+    vecs = K.vectors()
+    W = IntegerMatrix.from_rows(_fiber_values(P, q, d, e, vecs), cols=len(vecs))
+    lifts = [
+        tuple(sum(c * v[t] for c, v in zip(combo, vecs)) for t in range(K.ambient))
+        for combo in kernel_mod(W, q.p)
+    ]
+    return LatticeBasis.from_vectors(K.ambient, lifts + [tuple(q.p * x for x in v) for v in vecs])
+
+
 # ---------------------------------------------------------------------------
-# apply through section lattices
+# an elementary transformation through section lattices
 
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Kernel bundle plus the data needed to chain further transformations."""
+    """Kernel bundle plus the data needed to chain further transformations:
+    its generators as sections of the source at the first twist of the
+    window."""
 
     source: BundleHandle
     handle: BundleHandle
-    lineage: GeneratorLineage
-    family: SectionLatticeFamily
+    generators: tuple[Vec, ...]
+    lattices: SectionLattices
     quotient: FiberQuotient
 
 
 def apply_full(B: BundleHandle, q: FiberQuotient) -> TransformResult:
+    """The kernel E' of q: E -> O(m) on the fiber at p, presented by the
+    sections of E'(c) with their linear syzygies, at one twist c fixed by
+    the twists.
+
+    Every fiber type of E and of E' is at least low = min(a_i, m, deg E - m)
+    over the generator twists a_i: away from p, E' is E, a quotient of
+    F0 = sum O(a_i); at p, E' is an extension of ker(E_p -> O(m)), of
+    degree deg E - m, by O(m).  With c = -low, H^1 of every fiber of
+    E'(c-1) vanishes, so over Z (by base change and Nakayama) the sections
+    of E' from twist c on are generated by those at c, with syzygies
+    generated at c + 1 (Castelnuovo-Mumford).  H^0(E'(d)) is the kernel of
+    the fiber map on H^0(E(d)), read at e*(c) by ``section_lattices``.
+    """
     validate_quotient(B, q)
     P = B.presentation
-    d0 = first_section_twist(P)
-    if d0 is None:
-        raise ProfileInconsistent("bundle has no sections anywhere", "oracle")
-    span = P.twist_span()
-    last = WindowExhausted("unreachable")
-    for extra in (0, 4, 8):
-        window = (d0, d0 + span + WINDOW_GUARD + 2 + extra)
-        fam = lattice_family(P, window)
-
-        def restrict(d, K, Bv, _fam=fam):
-            return _kernel_piece(P, q, d, _fam.exponent, K)
-
-        provider = provider_from_family(fam, restrict)
-        try:
-            pres, lineage = presentation_from_sections(provider, P.base)
-        except WindowExhausted as exc:
-            last = exc
-            continue
-        handle = bundle_handle(pres)
-        _assert_transform_contract(B, handle, q)
-        return TransformResult(B, handle, lineage, fam, q)
-    raise last
+    c = -min(min(P.map.target.twists), q.m, B.degree - q.m)
+    lat = section_lattices(P, c, c + 2)
+    (K0, B0), (K1, B1) = lat.pieces[:2]
+    gens, orders = quotient_group_data(_kernel_piece(P, q, c, lat.exponent, K0), B0.vectors())
+    if any(orders):
+        raise ProfileInconsistent("sections of the kernel have torsion", "oracle")
+    products = [lat.mult(c, var, g) for g in gens for var in (0, 1)]
+    syzygies = _kernel_mod_span(products, B1, K1.ambient).vectors()
+    columns = [(-c - 1, [Form(1, s[2 * i : 2 * i + 2]) for i in range(len(gens))]) for s in syzygies]
+    handle = bundle_handle(cokernel_presentation((-c,) * len(gens), columns))
+    _assert_transform_contract(B, handle, q)
+    return TransformResult(B, handle, tuple(gens), lat, q)
 
 
 def restricted_quotient(result: TransformResult, q: FiberQuotient) -> FiberQuotient:
     """Re-express a fiber quotient of the source against the kernel bundle.
 
     The kernel embeds in the source; composing with a quotient of the source
-    gives quotient data for the kernel, one form per new generator.  Away
-    from the transformation prime the composite stays surjective; in general
-    the caller's validation decides.
+    gives quotient data for the kernel, one form per generator.  Away from
+    the transformation prime the composite stays surjective; in general the
+    caller's validation decides.
     """
-    src = result.source.presentation
-    row = []
-    for dg, vec in zip(result.lineage.degrees, result.lineage.vectors):
-        w = fiber_value(src, q, dg, result.family.exponent, vec)
-        deg = q.m + dg
-        row.append(Form(deg, w) if deg >= 0 else Form.zero(deg))
-    return FiberQuotient.make(q.p, q.m, row)
-
-
-def _kernel_piece(P, q, d, e, K: LatticeBasis) -> LatticeBasis:
-    """Sublattice of sections whose fiber image vanishes; contains p*K."""
-    vecs = K.vectors()
-    if not vecs:
-        return K
-    values = [fiber_value(P, q, d, e, v) for v in vecs]
-    target = len(values[0])
-    if target == 0:
-        return K
-    W = IntegerMatrix.from_rows(
-        [[values[j][t] for j in range(len(vecs))] for t in range(target)],
-        cols=len(vecs),
-    )
-    out = []
-    for c in kernel_mod(W, q.p):
-        acc = [0] * K.ambient
-        for j, cj in enumerate(c):
-            if cj:
-                vj = vecs[j]
-                for t in range(K.ambient):
-                    acc[t] += cj * vj[t]
-        out.append(tuple(acc))
-    for v in vecs:
-        out.append(tuple(q.p * x for x in v))
-    return span_lattice(K.ambient, out)
+    src, c = result.source.presentation, result.lattices.d_min
+    deg = q.m + c
+    row = [fiber_value(src, q, c, result.lattices.exponent, g) for g in result.generators]
+    return FiberQuotient.make(q.p, q.m, [Form(deg, w) if deg >= 0 else Form.zero(deg) for w in row])
 
 
 def _kernel_quotient_degree(B: BundleHandle, result: TransformResult) -> int:
     """Degree of the line bundle E'/(p E) on the fiber, fitted degreewise.
 
-    The quotient lattices E'_d/(p E_d) become full line-bundle section
-    spaces once h^1 dies; the top window degrees are fitted and verified.
+    H^0(E(d)) = K/B is free, so mod p it has dimension rank K - rank B, and
+    H^0(E'(d))/p H^0(E(d)) is the kernel of the fiber map on it.  These are
+    the full section spaces of E'/pE once H^1 of E dies, which holds at the
+    three twists of the window (see ``apply_full``); the top one fits the
+    degree and the other two verify it.
     """
-    q, fam = result.quotient, result.family
-    P = B.presentation
-    dims = []
-    for d in range(fam.d_min, fam.d_max + 1):
-        piece = fam.piece(d)
-        kernel = _kernel_piece(P, q, d, fam.exponent, piece.K)
-        tvecs = [tuple(q.p * c for c in v) for v in piece.K.vectors()]
-        tvecs += piece.B.vectors()
-        _, orders = quotient_group_data(lattice_sum(kernel, piece.B), tvecs)
-        if any(o != 0 and o != q.p for o in orders):
-            raise ProfileInconsistent("kernel quotient is not an F_p space", "oracle")
-        dims.append((d, sum(1 for o in orders if o == q.p)))
-    (d_top, dim_top) = dims[-1]
+    q, lat = result.quotient, result.lattices
+    dims = [
+        (d, K.rank - Bv.rank - rank_mod_p(_fiber_values(B.presentation, q, d, lat.exponent, K.vectors()), q.p))
+        for d, (K, Bv) in zip(lat.twists(), lat.pieces)
+    ]
+    d_top, dim_top = dims[-1]
     m_u = dim_top - d_top - 1
-    for d, dim in dims[-3:]:
-        if dim != m_u + d + 1:
-            raise ProfileInconsistent(
-                "kernel quotient does not match a line-bundle Hilbert function", "oracle"
-            )
+    if any(dim != m_u + d + 1 for d, dim in dims):
+        raise ProfileInconsistent("kernel quotient does not match a line-bundle Hilbert function", "oracle")
     return m_u
 
 
 # ---------------------------------------------------------------------------
-# splitting types from one pair-engine value
+# splitting types, rank and degree from oracle h^0 values
 
 
 def splitting_scan(Q: GradedPresentation, degree: int) -> SplittingType:
-    """Type (a, b) of a rank-2 bundle of the given degree from one pair-engine
-    value, then the Hilbert-pattern check.  With h = floor(degree / 2),
-    a <= h <= b gives h^0(E(-h-1)) = b - h."""
-    half = degree // 2
-    b = half + h0_dim(Q, -half - 1)
-    st = SplittingType(degree - b, b)
-    _check_pattern(Q, st)
+    """Type (a, b) of a rank-2 bundle of the given degree from one oracle
+    value (``selftest.oracle_splitting``), then the Hilbert pattern of that
+    type against ``oracle_h0`` at the twists -b-1 .. -b+3."""
+    st = SplittingType(*oracle_splitting(Q, degree))
+    for d in range(-st.b - 1, -st.b + 4):
+        if oracle_h0(Q, d) != st.h0_at(d):
+            raise ProfileInconsistent(f"oracle h0 at twist {d} does not match splitting {st}", "oracle")
     return st
 
 
-# ---------------------------------------------------------------------------
-# rank and degree from the Hilbert function at large twists
-
-
 def probe_rank_degree(P: GradedPresentation) -> tuple[int, int]:
-    """Rank and degree of the presented sheaf, assumed locally free.
+    """Rank and degree of the presented sheaf from ``oracle_h0`` at three
+    twists where h^1 vanishes, so that h^0(d) = r(d+1) + e there.
 
-    The rank is the slope of the Hilbert function h^0(d) at large twists and
-    the degree comes from Riemann-Roch h^0(d) = r(d+1) + e there.  The probe
-    twist is deterministic: the twist span plus 2, offset so that every
-    generator summand already has sections; it steps forward while the
-    pattern check fails, up to three attempts.
+    M~ is a quotient of F0 = sum O(a_i) and H^1 is right exact on a curve,
+    so h^1(M~(d)) = 0 for d >= -min(a_i) - 1; the probe starts one past that.
     """
-    span = P.twist_span()
-    top = max(P.all_twists(), default=0)
-    D = span + 2 + max(0, -top)
-    for _ in range(3):
-        vals = [h0_dim(P, D), h0_dim(P, D + 1), h0_dim(P, D + 2)]
-        r = vals[1] - vals[0]
-        if vals[2] - vals[1] == r and r >= 0:
-            return r, vals[0] - r * (D + 1)
-        D += span + 2
-    raise NotLocallyFree("Hilbert function does not match a bundle pattern")
+    D = -min(P.map.target.twists, default=0)
+    vals = [oracle_h0(P, D + k) for k in range(3)]
+    r = vals[1] - vals[0]
+    if vals[2] - vals[1] != r:
+        raise NotLocallyFree("Hilbert function is not linear past the generator twists")
+    return r, vals[0] - r * (D + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -346,12 +346,13 @@ def test_profile_json():
 
 
 # ---------------------------------------------------------------------------
-# the dual profile against the pair engine
+# the dual profile against the h^0 oracle: ``oracles.splitting_scan`` reads
+# each type off ``selftest.oracle_h0``
 
 PRIMES_TO_50 = [p for p in range(2, 51) if is_prime(p)]
 
 
-def assert_profile_matches_pair_engine(B):
+def assert_profile_matches_oracle(B):
     prof = type_profile(B)
     for p in sorted(set(PRIMES_TO_50) | set(prof.jump_map())):
         scanned = splitting_scan(reduce_mod(B.presentation, p), B.degree)
@@ -371,7 +372,7 @@ def random_dense_surjection(rng, p, n, ni):
 def test_dual_profile_matches_pair_engine_normal_forms(n, seed):
     rng = random.Random(100 * seed + n)
     f = Form.make(n, [rng.randint(-30, 30) for _ in range(n + 1)])
-    assert_profile_matches_pair_engine(bundle_from_normal_form(NormalForm(n, f)))
+    assert_profile_matches_oracle(bundle_from_normal_form(NormalForm(n, f)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -380,14 +381,14 @@ def test_dual_profile_matches_pair_engine_raw_presentations(n, seed):
     # unsaturated presentations: the dual needs no resaturation
     rng = random.Random(100 * seed + n + 50)
     f = Form.make(n, [rng.randint(-30, 30) for _ in range(n + 1)])
-    assert_profile_matches_pair_engine(bundle_handle(nf_presentation(n, f), assume_saturated=True))
+    assert_profile_matches_oracle(bundle_handle(nf_presentation(n, f), assume_saturated=True))
 
 
 def test_dual_profile_jump_of_height_two():
     # f = 6*x0^2*x1^2 vanishes mod 2 and 3, where E_p = O + O(4)
     B = bundle_handle(nf_presentation(4, Form.make(4, (0, 0, 6, 0, 0))), assume_saturated=True)
     assert type_profile(B).to_json() == {"generic": [2, 2], "jumps": {"2": [0, 4], "3": [0, 4]}}
-    assert_profile_matches_pair_engine(B)
+    assert_profile_matches_oracle(B)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -399,7 +400,7 @@ def test_dual_profile_matches_pair_engine_dense_prescribed(seed):
     jumps = [(q, rng.randint(1, 2)), (p, ni, random_dense_surjection(rng, p, n, ni))]
     B = prescribed_types(n, jumps)
     assert type_profile(B).type_map() == {"generic": n, **{j[0]: n + 2 * j[1] for j in jumps}}
-    assert_profile_matches_pair_engine(B)
+    assert_profile_matches_oracle(B)
 
 
 @pytest.mark.parametrize("extra", ["zero", "repeated"])
@@ -411,7 +412,7 @@ def test_dual_profile_matches_pair_engine_redundant_relation_columns(n, coeffs, 
     second = (-n - 1, [Form.zero(n + 1)] * 3) if extra == "zero" else column
     B = bundle_handle(cokernel_presentation((0, 0, 0), [column, second]))
     assert type_profile(B) == type_profile(bundle_from_normal_form(NormalForm(n, f)))
-    assert_profile_matches_pair_engine(B)
+    assert_profile_matches_oracle(B)
 
 
 @pytest.mark.parametrize("t", [-2, -4])
@@ -420,4 +421,4 @@ def test_dual_profile_matches_pair_engine_negative_degree(t):
         Bt = bundle_handle(twist_presentation(B.presentation, t))
         assert Bt.degree == B.degree + 2 * t < 0
         assert type_profile(Bt) == type_profile(B).shifted(t)
-        assert_profile_matches_pair_engine(Bt)
+        assert_profile_matches_oracle(Bt)

@@ -10,6 +10,13 @@ well under a second.  Values are passed both as ``--g TEXT`` and as
 ``--g=TEXT``; either way a value may begin with a minus sign.  Long option
 names are also drawn as any prefix that no other long option of the CLI
 shares, which argparse resolves to the full name.
+
+A second property feeds ``bundle profile`` and ``bundle check`` a valid
+handle document with one damage: a missing key, a value of the wrong JSON
+type, a ragged entry grid, a coefficient that is no integer, a base other
+than ZZ, or a presentation of another rank or one that is not locally free.
+The CLI must answer as the library does on the same document: exit 0 with
+the library's handle and profile, or exit 2 naming the library's error.
 """
 
 import argparse
@@ -21,7 +28,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from arithsurf.bundles import bundle_handle, type_profile
 from arithsurf.cli import build_parser, main
+from arithsurf.errors import ArithsurfError
+from arithsurf.graded import Form, GradedPresentation, cokernel_presentation, free_presentation
+from arithsurf.hirzebruch import NormalForm, bundle_from_normal_form
+from arithsurf.transforms import prescribed_types
+from oracles import structure_sheaf
 
 SMALL = st.integers(-6, 6)
 DEGREE = st.integers(-1, 6)
@@ -182,5 +195,98 @@ def test_every_argv_gets_a_document_or_a_usage_error(paths):
         doc = json.loads(out)
         assert doc["meta"]["tool"] == "arithsurf"
         assert ("error" in doc) == (code == 2 and argv[0] != "selftest"), (argv, doc)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# --bundle documents with one damage each
+
+HANDLES = [
+    prescribed_types(1, [(3, 2)]).to_json(),
+    bundle_from_normal_form(NormalForm.make(2, "5*x0*x1")).to_json(),
+]
+NOT_RANK_2 = [free_presentation((0,)), free_presentation((0, 0, 1)), structure_sheaf()]
+# torsion at (5, x0) and over 5: rank 2 generically, not locally free
+NOT_LOCALLY_FREE = [
+    cokernel_presentation((0, -1, 1), [(-1, [Form.monomial(1, 0), Form.constant(-5), Form.zero(2)])]),
+    cokernel_presentation((0, 1, 0), [(0, [Form.zero(0), Form.zero(1), Form.constant(5)])]),
+]
+# values of every JSON type, some of which ``int`` reads as an integer
+WRONG = [None, True, 1.5, -1, "x", "3", [], [1], {}, {"x": 1}]
+
+
+def _paths(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield path + (k,)
+            yield from _paths(value, path + (k,))
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+@st.composite
+def damaged_handles(draw):
+    """A copy of a valid handle document with exactly one damage."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(HANDLES))))
+    how = draw(st.sampled_from(["missing", "type", "ragged", "entry", "base", "rank", "free"]))
+    if how in ("rank", "free"):
+        doc["presentation"] = draw(st.sampled_from(NOT_RANK_2 if how == "rank" else NOT_LOCALLY_FREE)).to_json()
+    elif how == "base":
+        doc["presentation"]["base"] = draw(st.sampled_from(["QQ", "GF(5)", "GF(4)", "Z", ""]))
+    elif how == "ragged":
+        rows = doc["presentation"]["map"]["entries"]
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row.append(row[0]) if draw(st.booleans()) else row.pop()
+    elif how == "entry":
+        forms = [f for row in doc["presentation"]["map"]["entries"] for f in row]
+        coeffs = draw(st.sampled_from(forms))["coeffs"]
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(st.sampled_from(["1/2", "x", 2.5, None, "", "1e3"]))
+    else:
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent = _at(doc, path[:-1])
+        if how == "missing" and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(WRONG))
+    return doc
+
+
+def library(doc):
+    """What the library makes of the presentation in ``doc``: the handle's
+    JSON and profile, or the name of the domain error."""
+    try:
+        P = GradedPresentation.from_json(doc["presentation"] if "presentation" in doc else doc)
+        if P.base.kind != "ZZ":
+            return "InvalidInput"
+        B = bundle_handle(P)
+    except ArithsurfError as exc:
+        return type(exc).__name__
+    return B.to_json(), type_profile(B).to_json()
+
+
+def test_a_damaged_bundle_document_gets_an_answer_or_a_named_error(tmp_path):
+    path = tmp_path / "bundle.json"
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(damaged_handles(), st.sampled_from(["profile", "check"]))
+    def check(doc, command):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["bundle", command, "--bundle", str(path)])
+        assert err == "" and code in (0, 2), (doc, code, out, err)
+        result, expect = json.loads(out), library(doc)
+        if code == 2:
+            assert (result["error"], bool(result["message"])) == (expect, True), (doc, result)
+        else:
+            assert (result["bundle"], result["profile"]) == expect, (doc, result)
 
     check()

@@ -31,17 +31,7 @@ from arithsurf.graded import (
 )
 from arithsurf.selftest import oracle_h0
 from arithsurf.transforms import prescribed_types
-from oracles import (
-    lattice_contains,
-    lattice_family,
-    lattice_sum,
-    presentation_from_sections,
-    probe_rank_degree,
-    provider_from_family,
-    rationalize,
-    resaturate,
-    structure_sheaf,
-)
+from oracles import probe_rank_degree, rationalize, structure_sheaf
 
 
 def normal_form_presentation(n, f):
@@ -417,53 +407,3 @@ def test_twist_compatibility():
         Q = twist(P, t)
         for d in range(-2, 3):
             assert h0_dim(Q, d) == h0_dim(P, d + t)
-
-
-def test_lattice_family_split():
-    P = free_presentation((0, 0))
-    fam = lattice_family(P, (0, 1))
-    assert fam.rank(0) == 2
-    assert fam.rank(1) == 4
-    # multiplication maps send each lattice into the next and are injective
-    pc0, pc1 = fam.piece(0), fam.piece(1)
-    for var in (0, 1):
-        m = fam.mult_matrix(0, var)
-        for v in pc0.K.vectors():
-            w = m.mul_vec(v)
-            assert lattice_contains(lattice_sum(pc1.K, pc1.B), w)
-
-
-def test_lattice_family_ranks_match_h0():
-    P = normal_form_presentation(2, Form.make(2, (0, 6, 0)))
-    fam = lattice_family(P, (-2, 2))
-    for d in range(-2, 3):
-        assert fam.rank(d) == h0_dim(P, d)
-
-
-def test_lattice_family_json():
-    P = free_presentation((0,))
-    fam = lattice_family(P, (0, 1))
-    obj = fam.to_json()
-    assert obj["window"] == [0, 1]
-    assert len(obj["pieces"]) == 2
-
-
-def test_resaturate_preserves_the_sheaf():
-    P = normal_form_presentation(2, Form.make(2, (0, 5, 0)))
-    pres, lineage, fam = resaturate(P)
-    assert sheaf_rank_degree(pres) == (2, 2)
-    for d in range(-3, 4):
-        assert h0_dim(pres, d) == h0_dim(P, d)
-    for p in (2, 5, 7):
-        for d in range(-3, 3):
-            assert h0_dim(reduce_mod(pres, p), d) == h0_dim(reduce_mod(P, p), d)
-    # resaturated module pieces equal the section lattices in the window
-    assert min(lineage.degrees) == -1
-
-
-def test_presentation_from_sections_round_trip_split():
-    P = free_presentation((1, -1))
-    pres, lineage, _ = resaturate(P)
-    assert sheaf_rank_degree(pres) == (2, 0)
-    for d in range(-3, 4):
-        assert h0_dim(pres, d) == h0_dim(P, d)

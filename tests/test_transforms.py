@@ -303,7 +303,7 @@ def test_closed_form_matches_transformation_chain(case):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form apply against the section-lattice engine
+# the closed-form apply against section lattices at the exact exponent
 
 
 def normal_form_row(n, f, p, u, w, t):
