@@ -296,9 +296,13 @@ def _run_surface(args) -> dict:
     if args.reduce:
         nf = reduce_coefficients(nf)
     payload = dict(equation(nf))
-    payload["profile"] = degree_profile(nf).to_json()
     if args.certify:
-        payload["constancy"] = constancy_check(nf).to_json()
+        # the certificate carries the profile, so the bundle is built once
+        result = constancy_check(nf)
+        payload["profile"] = result.profile.to_json()
+        payload["constancy"] = result.to_json()
+    else:
+        payload["profile"] = degree_profile(nf).to_json()
     return payload
 
 

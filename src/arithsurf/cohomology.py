@@ -15,10 +15,15 @@ where every piece is live.  A hard cap, the twist span plus |d| plus a fixed
 margin of 4, bounds the scan.  The memo per presentation and twist keeps
 only the answer, a ``SectionCount`` of three integers (d, e, dim); the
 lattices or F_p spans of each pair space live only while its scan runs.
-The relation images B are the pairs (phi1 r, 0) and (0, phi1 r), so
-B = im phi1 + im phi1 in block form; over F_p its canonical row echelon
-form is R + 0 over 0 + R, with R that of the columns of phi1 alone, and it
-is built that way.
+The pairs K are the (u, v) parts of the kernel of the pair system
+(u, v, w) -> x1^e u - x0^e v + phi(w), whose columns are written as lists:
+one +1 per u-monomial, one -1 per v-monomial, then the columns of phi in
+degree d+2e.  Over Z any basis of that kernel projects onto the same
+lattice, so the raw basis of the echelon transform is projected and brought
+to canonical form once.  The relation images B are the pairs (phi1 r, 0)
+and (0, phi1 r), so B = im phi1 + im phi1 in block form; over F_p its
+canonical row echelon form is R + 0 over 0 + R, with R that of the columns
+of phi1 alone, and it is built that way.
 
 Rank and degree are not read from sections: ker(phi) is a free module on
 the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
@@ -39,14 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import WindowExhausted, frozen
-from .exactlat import (
-    IntegerMatrix,
-    LatticeBasis,
-    kernel_lattice,
-    kernel_mod,
-    rref_mod,
-    span_lattice,
-)
+from .exactlat import LatticeBasis, kernel_basis, rref_mod, span_lattice
 from .graded import GradedPresentation, degree_piece, nullity, transpose
 
 Vec = tuple[int, ...]
@@ -90,7 +88,7 @@ class FpSpan:
 
 
 def _fp_span(ambient: int, p: int, vectors) -> FpSpan:
-    rows, _ = rref_mod([list(v) for v in vectors], ambient, p)
+    rows, _ = rref_mod(vectors, ambient, p)
     return FpSpan(ambient, p, tuple(rows))
 
 
@@ -114,26 +112,30 @@ class PairSpace:
     dim: int
 
 
-def _mu_matrix(P: GradedPresentation, d: int, e: int) -> IntegerMatrix:
-    """(u, v) -> x1^e u - x0^e v on generator pieces, block per summand.
+def _pair_system(P: GradedPresentation, d: int, e: int) -> tuple[int, list[list[int]]]:
+    """f = dim of the degree-(d+e) generator piece, and the columns of
+    (u, v, w) -> x1^e u - x0^e v + phi(w) into the degree-(d+2e) piece.
 
-    Multiplication by x1^e shifts the monomial index by e and x0^e keeps it,
-    so the blocks are written directly.
+    Multiplication by x1^e shifts a monomial's index within its summand by e
+    and x0^e keeps it, so each u-monomial's column holds one +1 and each
+    v-monomial's one -1; the w columns are those of phi's degree-(d+2e)
+    piece.  Every column is a fresh list.
     """
     gens = P.generators
-    fdims = gens.piece_dims(d + e)
-    gdims = gens.piece_dims(d + 2 * e)
-    f, g = sum(fdims), sum(gdims)
-    rows = [[0] * (2 * f) for _ in range(g)]
-    roff = coff = 0
+    fdims, gdims = gens.piece_dims(d + e), gens.piece_dims(d + 2 * e)
+    g = sum(gdims)
+    u_cols, v_cols = [], []
+    roff = 0
     for fd, gd in zip(fdims, gdims):
-        if fd > 0 and gd > 0:
-            for c in range(fd):
-                rows[roff + c + e][coff + c] = 1
-                rows[roff + c][f + coff + c] = -1
+        for r in range(roff, roff + fd):
+            col = [0] * g
+            col[r + e] = 1
+            u_cols.append(col)
+            col = [0] * g
+            col[r] = -1
+            v_cols.append(col)
         roff += gd
-        coff += fd
-    return IntegerMatrix.from_rows(rows, cols=2 * f)
+    return sum(fdims), u_cols + v_cols + degree_piece(P.map, d + 2 * e).columns_list()
 
 
 def shift_pair_vector(P: GradedPresentation, d: int, e: int, vec, var_u: int, var_v: int):
@@ -158,33 +160,27 @@ def shift_pair_vector(P: GradedPresentation, d: int, e: int, vec, var_u: int, va
 
 
 def _pair_data(P: GradedPresentation, d: int, e: int) -> PairSpace:
-    gens = P.generators
-    f = gens.piece_dim(d + e)
-    mu = _mu_matrix(P, d, e)
-    phi2 = degree_piece(P.map, d + 2 * e)
+    f, system = _pair_system(P, d, e)
     phi1 = degree_piece(P.map, d + e)
-    stacked = mu.hstack(phi2) if phi2.cols else mu
     if P.base.kind == "GF":
         p = P.base.char
-        kern = kernel_mod(stacked, p)
-        proj = [v[: 2 * f] for v in kern]
-        K = _fp_span(2 * f, p, proj)
+        K = _fp_span(2 * f, p, [v[: 2 * f] for v in kernel_basis(system, p)])
         # B = im phi1 + im phi1, so its RREF is R + 0 over 0 + R, R the RREF
         # of phi1's columns.
         R, _ = rref_mod(phi1.columns_list(), f, p)
         zero = (0,) * f
         B = FpSpan(2 * f, p, tuple(r + zero for r in R) + tuple(zero + r for r in R))
     else:
-        kern = kernel_lattice(stacked)
-        proj = [v[: 2 * f] for v in kern.vectors()]
+        # Any basis of the kernel projects onto the same lattice K, so the
+        # raw one is spanned once, after projection.
+        K = span_lattice(2 * f, [v[: 2 * f] for v in kernel_basis(system)])
         # B: images of relations, duplicated over the (u, v) components
         bvecs = []
         for j in range(phi1.cols):
             col = phi1.column(j)
             if any(col):
-                bvecs.append(tuple(col) + (0,) * f)
-                bvecs.append((0,) * f + tuple(col))
-        K = span_lattice(2 * f, proj)
+                bvecs.append(col + (0,) * f)
+                bvecs.append((0,) * f + col)
         B = span_lattice(2 * f, bvecs)
     return PairSpace(d, e, f, K, B, K.rank - B.rank)
 

@@ -16,7 +16,9 @@ each pivot row the entries belonging to earlier columns are reduced into
 
 Two engines do every elimination: ``_echelon`` (with ``_reduce_above``)
 over Z and ``rref_mod`` over F_p.  Smith invariants come from alternating
-Hermite forms of a matrix and its transpose.
+Hermite forms of a matrix and its transpose.  ``kernel_basis`` reads a
+kernel off either engine from the columns of a matrix given as lists;
+``kernel_lattice`` and ``kernel_mod`` wrap it for an ``IntegerMatrix``.
 
 Both engines sweep the columns left to right and rely on one invariant: when
 column c is reached, every row that is not yet a pivot row is zero left of
@@ -135,12 +137,6 @@ class IntegerMatrix:
             row = self.entries[i * n : (i + 1) * n]
             out.append(sum(a * b for a, b in zip(row, v) if a))
         return tuple(out)
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntegerMatrix.from_rows(rows, cols=self.cols + other.cols)
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -289,8 +285,8 @@ class LatticeBasis:
 
     @staticmethod
     def from_vectors(ambient: int, vectors) -> "LatticeBasis":
-        canon = row_hnf([list(v) for v in vectors], ambient)
-        return LatticeBasis(ambient, IntegerMatrix.from_columns([list(v) for v in canon], nrows=ambient))
+        canon = row_hnf(vectors, ambient)
+        return LatticeBasis(ambient, IntegerMatrix.from_columns(canon, nrows=ambient))
 
     @property
     def rank(self) -> int:
@@ -302,17 +298,8 @@ class LatticeBasis:
 
 
 def kernel_lattice(M: IntegerMatrix) -> LatticeBasis:
-    """Canonical basis of the saturated lattice {v in Z^cols : Mv = 0}.
-
-    The transform rows of the echelon of M^T that pair with zero echelon rows
-    form a basis of the kernel; being rows of a unimodular matrix they span
-    the full (saturated) kernel.
-    """
-    rows = M.transpose().rows_list()
-    rows, pivots, trans = _echelon(rows, M.rows, transform=True)
-    pivot_rows = {i for (i, _) in pivots}
-    vectors = [trans[i] for i in range(len(rows)) if i not in pivot_rows]
-    return LatticeBasis.from_vectors(M.cols, vectors)
+    """Canonical basis of the saturated lattice {v in Z^cols : Mv = 0}."""
+    return LatticeBasis.from_vectors(M.cols, kernel_basis(M.columns_list()))
 
 
 def span_lattice(ambient: int, vectors) -> LatticeBasis:
@@ -393,17 +380,36 @@ def rank_mod(M: IntegerMatrix, p: int) -> int:
 
 def kernel_mod(M: IntegerMatrix, p: int) -> list[Vec]:
     """Basis of the kernel of M over F_p."""
-    rows, piv_cols = rref_mod(M.rows_list(), M.cols, p)
-    pivots = set(piv_cols)
-    free = [c for c in range(M.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * M.cols
-        v[fc] = 1
-        for r, pc in enumerate(piv_cols):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(tuple(v))
-    return basis
+    return kernel_basis([M.column(j) for j in range(M.cols)], p)
+
+
+def kernel_basis(columns: list, p: int = 0) -> list:
+    """Basis of {v : sum_j v_j columns[j] = 0}, columns given as equal-length lists.
+
+    Over F_p (p prime) the basis has one vector per free column of the RREF
+    of the rows, entries in [0, p).  Over Z (p = 0) it is the transform rows
+    of the echelon of the columns that pair with zero echelon rows: rows of
+    a unimodular matrix, they span the saturated kernel, but they are not
+    canonical (``LatticeBasis.from_vectors`` makes them so).  Over Z the
+    column lists are rewritten in place; callers build them for the call.
+    """
+    ncols = len(columns)
+    if p:
+        rows, piv_cols = rref_mod(list(zip(*columns)), ncols, p)
+        pivots = set(piv_cols)
+        basis = []
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            v = [0] * ncols
+            v[fc] = 1
+            for r, pc in enumerate(piv_cols):
+                v[pc] = (-rows[r][fc]) % p
+            basis.append(tuple(v))
+        return basis
+    _, pivots, trans = _echelon(columns, len(columns[0]) if columns else 0, transform=True)
+    pivot_rows = {i for (i, _) in pivots}
+    return [trans[i] for i in range(ncols) if i not in pivot_rows]
 
 
 # ---------------------------------------------------------------------------

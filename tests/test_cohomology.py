@@ -29,9 +29,9 @@ from arithsurf.graded import (
     reduce_mod,
     twist,
 )
-from arithsurf.selftest import oracle_h0
+from arithsurf.selftest import _oracle_pair_dim, oracle_h0
 from arithsurf.transforms import prescribed_types
-from oracles import probe_rank_degree, rationalize, structure_sheaf
+from oracles import pair_lattices, probe_rank_degree, rationalize, structure_sheaf
 
 
 def normal_form_presentation(n, f):
@@ -337,6 +337,51 @@ def test_fp_relation_span_is_two_copies_of_the_rref_of_phi1():
                 assert B == _fp_relation_span_of_stacked_columns(Q, d, e)
                 ranks.add(B.rank)
     assert len(ranks) > 3
+
+
+def _pair_space_cases():
+    """Normal forms with n <= 4, prescribed-types kernels, and cokernels
+    whose columns are torsion, zero or repeated."""
+    rng = random.Random(3907)
+    for n in range(5):
+        yield normal_form_presentation(n, random_form(rng, n))
+    yield prescribed_types(2, [(2, 1), (3, 2)]).presentation
+    yield prescribed_types(1, [(5, 1)]).presentation
+    x0, x1 = Form.monomial(1, 0), Form.monomial(1, 1)
+    yield cokernel_presentation(
+        (-1, 0),
+        [
+            (-2, [x0, Form.make(2, (1, 0, -2))]),
+            (-2, [x0, Form.make(2, (1, 0, -2))]),
+            (-3, [Form.zero(2), Form.zero(3)]),
+            (-1, [Form.make(0, (6,)), Form.zero(1)]),
+            (-1, [Form.zero(0), x1.scale(3)]),
+        ],
+    )
+    for _ in range(6):
+        gens = tuple(rng.randint(-2, 1) for _ in range(rng.randint(1, 3)))
+        cols = []
+        for _ in range(rng.randint(1, 4)):
+            cols.append(random_column(rng, gens, cols))
+        yield cokernel_presentation(gens, cols)
+
+
+def test_pair_spaces_match_the_stacked_oracle():
+    # K and B over Z against a stacked IntegerMatrix built apart, and the
+    # dimension over Z and mod 2 and 5 against Gaussian ranks, from the
+    # floor to three exponents past it
+    integral = 0
+    for P in _pair_space_cases():
+        for Q in (P, reduce_mod(P, 2), reduce_mod(P, 5)):
+            for d in range(-3, 3):
+                floor = stabilization_floor(Q, d)
+                for e in range(floor, floor + 4):
+                    space = _pair_data(Q, d, e)
+                    assert space.dim == _oracle_pair_dim(Q, d, e), (Q.map.to_json(), d, e)
+                    if Q.base.kind == "ZZ":
+                        assert (space.K, space.B) == pair_lattices(Q, d, e), (Q.map.to_json(), d, e)
+                        integral += space.K.rank > space.B.rank > 0
+    assert integral > 200
 
 
 def test_h1_line_bundles():
