@@ -20,10 +20,20 @@ The pairs K are the (u, v) parts of the kernel of the pair system
 one +1 per u-monomial, one -1 per v-monomial, then the columns of phi in
 degree d+2e.  Over Z any basis of that kernel projects onto the same
 lattice, so the raw basis of the echelon transform is projected and brought
-to canonical form once.  The relation images B are the pairs (phi1 r, 0)
-and (0, phi1 r), so B = im phi1 + im phi1 in block form; over F_p its
-canonical row echelon form is R + 0 over 0 + R, with R that of the columns
-of phi1 alone, and it is built that way.
+to canonical form once.  Over F_p one elimination of the system gives K:
+each free (u, v) column of its RREF is one basis vector as it stands, and
+only the free phi columns, whose projections sit on the (u, v) pivot
+columns, need a second, smaller elimination, and only when one of those
+projections is nonzero (``exactlat.projected_kernel_mod``).  The relation
+images B are the pairs (phi1 r, 0) and (0, phi1 r), so B = im phi1 + im
+phi1 in block form; over F_p its canonical row echelon form is R + 0 over
+0 + R, with R that of the columns of phi1 alone, and it is built that way.
+
+A stable transition from exponent e to e + 1 asks whether the pushes
+(x0 u, x1 v) of K_e together with B_(e+1) span K_(e+1).  Both already lie
+in K_(e+1), so over F_p the spans agree exactly when the rank of the
+pushes and B equals rank K_(e+1), and K needs to be a basis only.  Over Z
+equal rank leaves the index open, so the canonical lattices are compared.
 
 Rank and degree are not read from sections: ker(phi) is a free module on
 the line, so the graded free resolution 0 -> F2 -> F1 -> F0 -> M -> 0 has
@@ -42,9 +52,10 @@ transformations write their kernel presentation down in closed form
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import WindowExhausted, frozen
-from .exactlat import LatticeBasis, kernel_basis, rref_mod, span_lattice
+from .exactlat import LatticeBasis, kernel_basis, projected_kernel_mod, rref_mod, span_lattice
 from .graded import GradedPresentation, degree_piece, nullity, transpose
 
 Vec = tuple[int, ...]
@@ -73,7 +84,12 @@ def stabilization_floor(P: GradedPresentation, d: int) -> int:
 
 @frozen
 class FpSpan:
-    """Row space over F_p in reduced row echelon form (canonical)."""
+    """Row space over F_p given by independent rows.
+
+    A pair space's K holds the basis ``exactlat.projected_kernel_mod``
+    reads off the kernel, which is not a canonical form; its B holds the
+    reduced row echelon form of the relation images, which is.
+    """
 
     ambient: int
     p: int
@@ -85,11 +101,6 @@ class FpSpan:
 
     def vectors(self) -> list[Vec]:
         return list(self.rows)
-
-
-def _fp_span(ambient: int, p: int, vectors) -> FpSpan:
-    rows, _ = rref_mod(vectors, ambient, p)
-    return FpSpan(ambient, p, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +149,12 @@ def _pair_system(P: GradedPresentation, d: int, e: int) -> tuple[int, list[list[
     return sum(fdims), u_cols + v_cols + degree_piece(P.map, d + 2 * e).columns_list()
 
 
-def shift_pair_vector(P: GradedPresentation, d: int, e: int, vec, var_u: int, var_v: int):
-    """Apply monomial multiplication blockwise to a pair vector, by shifts.
-
-    Multiplication by x0 appends a zero to each generator segment and x1
-    prepends one; this is the whole content of the block matrices, applied
-    without building them.
-    """
-    gens = P.generators
-    src = gens.piece_dims(d + e)
-    f = sum(src)
-    out = []
-    for part, var in ((vec[:f], var_u), (vec[f:], var_v)):
-        off = 0
-        for a, dim in zip(gens.twists, src):
-            seg = list(part[off : off + dim])
-            off += dim
-            if a + d + e + 1 >= 0:
-                out.extend(seg + [0] if var == 0 else [0] + seg)
-    return tuple(out)
-
-
 def _pair_data(P: GradedPresentation, d: int, e: int) -> PairSpace:
     f, system = _pair_system(P, d, e)
     phi1 = degree_piece(P.map, d + e)
     if P.base.kind == "GF":
         p = P.base.char
-        K = _fp_span(2 * f, p, [v[: 2 * f] for v in kernel_basis(system, p)])
+        K = FpSpan(2 * f, p, tuple(projected_kernel_mod(system, 2 * f, p)))
         # B = im phi1 + im phi1, so its RREF is R + 0 over 0 + R, R the RREF
         # of phi1's columns.
         R, _ = rref_mod(phi1.columns_list(), f, p)
@@ -185,16 +175,41 @@ def _pair_data(P: GradedPresentation, d: int, e: int) -> PairSpace:
     return PairSpace(d, e, f, K, B, K.rank - B.rank)
 
 
+def _push(P: GradedPresentation, prev: PairSpace) -> list[Vec]:
+    """The rows of prev.K under (u, v) -> (x0 u, x1 v), into exponent e + 1.
+
+    Multiplication by x0 appends a zero to each generator segment and x1
+    prepends one, for every summand live in degree d + e + 1; the moves are
+    one index list, computed once and applied to every row.
+    """
+    deg, f = prev.d + prev.e, prev.f
+    zero = 2 * f  # index of the zero appended to each row
+    u_idx, v_idx = [], []
+    off = 0
+    for a, dim in zip(P.generators.twists, P.generators.piece_dims(deg)):
+        if a + deg + 1 >= 0:
+            u_idx += [*range(off, off + dim), zero]
+            v_idx += [zero, *range(f + off, f + off + dim)]
+        off += dim
+    if not u_idx:
+        return []
+    move = itemgetter(*u_idx, *v_idx)
+    return [move(v + (0,)) for v in prev.K.vectors()]
+
+
 def _push_compatible(P: GradedPresentation, prev: PairSpace, cur: PairSpace) -> bool:
-    pushed = [
-        shift_pair_vector(P, prev.d, prev.e, v, 0, 1) for v in prev.K.vectors()
-    ]
+    """Whether the pushes of prev.K and the relation images B span cur.K.
+
+    Both lie in cur.K ((x0 u, x1 v) is again a pair, and B is inside K), so
+    over F_p the spans are equal exactly when the ranks are.  Over Z a
+    sublattice of full rank can still have an index, so the canonical forms
+    are compared.
+    """
+    pushed = _push(P, prev)
     if P.base.kind == "GF":
-        p = P.base.char
-        combined = _fp_span(2 * cur.f, p, pushed + cur.B.vectors())
-        return combined == cur.K
-    combined = span_lattice(2 * cur.f, pushed + cur.B.vectors())
-    return combined == cur.K
+        rows, _ = rref_mod(pushed + cur.B.vectors(), 2 * cur.f, P.base.char)
+        return len(rows) == cur.K.rank
+    return span_lattice(2 * cur.f, pushed + cur.B.vectors()) == cur.K
 
 
 @frozen

@@ -19,6 +19,8 @@ over Z and ``rref_mod`` over F_p.  Smith invariants come from alternating
 Hermite forms of a matrix and its transpose.  ``kernel_basis`` reads a
 kernel off either engine from the columns of a matrix given as lists;
 ``kernel_lattice`` and ``kernel_mod`` wrap it for an ``IntegerMatrix``.
+``projected_kernel_mod`` reads, off the same F_p elimination, a basis of
+the kernel's projection onto its leading coordinates.
 
 Both engines sweep the columns left to right and rely on one invariant: when
 column c is reached, every row that is not yet a pivot row is zero left of
@@ -396,20 +398,52 @@ def kernel_basis(columns: list, p: int = 0) -> list:
     ncols = len(columns)
     if p:
         rows, piv_cols = rref_mod(list(zip(*columns)), ncols, p)
-        pivots = set(piv_cols)
-        basis = []
-        for fc in range(ncols):
-            if fc in pivots:
-                continue
-            v = [0] * ncols
-            v[fc] = 1
-            for r, pc in enumerate(piv_cols):
-                v[pc] = (-rows[r][fc]) % p
-            basis.append(tuple(v))
-        return basis
+        return _free_vectors(rows, piv_cols, ncols, ncols, p)
     _, pivots, trans = _echelon(columns, len(columns[0]) if columns else 0, transform=True)
     pivot_rows = {i for (i, _) in pivots}
     return [trans[i] for i in range(ncols) if i not in pivot_rows]
+
+
+def _free_vectors(rows, piv_cols: list[int], ncols: int, n: int, p: int) -> list[Vec]:
+    """The kernel vector of each free column fc of an RREF over F_p, cut to
+    its first n coordinates: 1 at fc when fc < n, and -rows[r][fc] at each
+    pivot column below n, entries in [0, p).  Free columns ascend."""
+    pivots = set(piv_cols)
+    free = [c for c in range(ncols) if c not in pivots]
+    vecs = [[0] * n for _ in free]
+    for i, fc in enumerate(free):
+        if fc >= n:
+            break
+        vecs[i][fc] = 1
+    for row, pc in zip(rows, piv_cols):
+        if pc >= n:
+            break
+        for v, fc in zip(vecs, free):
+            x = row[fc]
+            if x:
+                v[pc] = p - x
+    return [tuple(v) for v in vecs]
+
+
+def projected_kernel_mod(columns: list, n: int, p: int) -> list[Vec]:
+    """A basis over F_p of the projection of {v : sum_j v_j columns[j] = 0}
+    onto its first n coordinates, read off the RREF of the rows.
+
+    Each free column fc < n of the RREF gives its kernel vector cut to n
+    coordinates: 1 at fc, zero at the other free columns below n.  The free
+    columns from n on give vectors carried by the pivot columns below n
+    alone; their span is brought to RREF, and only when one of them is
+    nonzero.  The two sets are independent, since the first has its 1s at
+    distinct coordinates where the second is 0, so together they are a
+    basis (not a canonical form) and the rank is their count.
+    """
+    rows, piv_cols = rref_mod(list(zip(*columns)), len(columns), p)
+    vecs = _free_vectors(rows, piv_cols, len(columns), n, p)
+    direct = n - sum(1 for c in piv_cols if c < n)
+    extra = [v for v in vecs[direct:] if any(v)]
+    if extra:
+        extra, _ = rref_mod(extra, n, p)
+    return vecs[:direct] + extra
 
 
 # ---------------------------------------------------------------------------

@@ -305,17 +305,6 @@ def map_from_columns(target_twists, columns) -> GradedMap:
     return GradedMap(src, tgt, entries)
 
 
-def _mult_block(f: Form, s: int) -> list[list[int]]:
-    # multiplication by f on degree-s monomials, target degree s + deg f
-    e = f.degree
-    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
-    for t in range(s + e + 1):
-        for k in range(s + 1):
-            if 0 <= t - k <= e:
-                rows[t][k] = f.coeffs[t - k]
-    return rows
-
-
 # All reuse of a degree piece comes from one scan and the twists next to it,
 # so a small fixed bound keeps nearly every hit of an unbounded cache.
 _DEGREE_PIECE_CACHE_SIZE = 64
@@ -323,28 +312,30 @@ _DEGREE_PIECE_CACHE_SIZE = 64
 
 @lru_cache(maxsize=_DEGREE_PIECE_CACHE_SIZE)
 def degree_piece(phi: GradedMap, d: int) -> IntegerMatrix:
-    """Matrix of a graded map on degree-d pieces in monomial_basis order."""
+    """Matrix of a graded map on degree-d pieces in monomial_basis order.
+
+    Entry (i, j) multiplies the k-th degree-(s_j + d) monomial of source
+    summand j into monomials k..k+deg of target summand i, so its
+    coefficient t lands at row k + t, column k of that block: one strided
+    slice of the flat entry list, filled in place.
+    """
     tdims = phi.target.piece_dims(d)
     sdims = phi.source.piece_dims(d)
     nrows, ncols = sum(tdims), sum(sdims)
-    rows = [[0] * ncols for _ in range(nrows)]
+    flat = [0] * (nrows * ncols)
     roff = 0
     for i in range(phi.target.rank):
         coff = 0
-        for j in range(phi.source.rank):
-            f = phi.entries[i][j]
-            s = phi.source.twists[j] + d
-            if sdims[j] > 0 and tdims[i] > 0 and f.degree >= 0 and not f.is_zero():
-                block = _mult_block(f, s)
-                for r in range(tdims[i]):
-                    br = block[r]
-                    tr = rows[roff + r]
-                    for c in range(sdims[j]):
-                        if br[c]:
-                            tr[coff + c] = br[c]
-            coff += sdims[j]
+        for j, n in enumerate(sdims):
+            # a negative-degree entry is zero and has no coefficients
+            if n:
+                for t, a in enumerate(phi.entries[i][j].coeffs):
+                    if a:
+                        start = (roff + t) * ncols + coff
+                        flat[start : start + n * (ncols + 1) : ncols + 1] = [a] * n
+            coff += n
         roff += tdims[i]
-    return IntegerMatrix.from_rows(rows, cols=ncols)
+    return IntegerMatrix(nrows, ncols, tuple(flat))
 
 
 def transpose(phi: GradedMap) -> GradedMap:

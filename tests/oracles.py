@@ -8,7 +8,8 @@ fixed by the twists of the free resolution, shared with the acceptance
 criteria.  The full-row eliminations ``reference_rref_mod``,
 ``reference_echelon`` and ``reference_reduce_above`` are exactlat's kernels
 before they learned to rewrite only the live tail of each row; the kernels
-must give exactly their outputs.
+must give exactly their outputs.  ``pair_kernel_rref_mod`` reads the pairs
+of a pair space over F_p with ``reference_rref_mod`` alone.
 
 The exceptions, at the end, use exactlat's integer lattices, but no part of
 the runtime's pair engine: they read sections at the one exponent e* of
@@ -450,6 +451,41 @@ def exact_exponent(P: GradedPresentation, d: int) -> int:
     return max([0] + [-t - d - 1 for t in twists])
 
 
+def pair_system_rows(P: GradedPresentation, d: int, e: int) -> tuple[int, list[list[int]]]:
+    """f = dim of the degree-(d+e) generator piece, and the rows of the
+    stacked matrix (x1^e | -x0^e | phi) on (u, v, w) into degree d+2e."""
+    gens = P.map.target.twists
+    fdims, gdims = _piece_dims(gens, d + e), _piece_dims(gens, d + 2 * e)
+    f = sum(fdims)
+    stacked = [[0] * (2 * f) + row for row in _oracle_rel_matrix(P, d + 2 * e)]
+    roff = coff = 0
+    for fd, gd in zip(fdims, gdims):
+        for k in range(fd):
+            stacked[roff + k + e][coff + k] = 1  # x1^e u
+            stacked[roff + k][f + coff + k] = -1  # -x0^e v
+        roff += gd
+        coff += fd
+    return f, stacked
+
+
+def pair_kernel_rref_mod(P: GradedPresentation, d: int, e: int, p: int) -> list[Vec]:
+    """The pairs K of ``pair_lattices`` over F_p, in reduced row echelon form:
+    the kernel of the stacked matrix mod p in free-variable form, cut to its
+    (u, v) coordinates and reduced by ``reference_rref_mod``."""
+    f, stacked = pair_system_rows(P, d, e)
+    ncols = 2 * f + sum(_piece_dims(P.map.source.twists, d + 2 * e))
+    rows, piv = reference_rref_mod(stacked, ncols, p)
+    projected = []
+    for fc in range(ncols):
+        if fc not in piv:
+            v = [0] * ncols
+            v[fc] = 1
+            for i, pc in enumerate(piv):
+                v[pc] = -rows[i][fc] % p
+            projected.append(v[: 2 * f])
+    return reference_rref_mod(projected, 2 * f, p)[0]
+
+
 def pair_lattices(P: GradedPresentation, d: int, e: int) -> tuple[LatticeBasis, LatticeBasis]:
     """The pair space of ``selftest._oracle_pair_dim`` as two lattices (K, B).
 
@@ -460,20 +496,10 @@ def pair_lattices(P: GradedPresentation, d: int, e: int) -> tuple[LatticeBasis, 
     monomial bases, so it holds over Z.  Each generator's segment of u and v
     lists its monomials x0^(s-k) x1^k by k.
     """
-    gens = P.map.target.twists
-    fdims, gdims = _piece_dims(gens, d + e), _piece_dims(gens, d + 2 * e)
-    f = sum(fdims)
+    f, stacked = pair_system_rows(P, d, e)
     if not f:
         empty = LatticeBasis.from_vectors(0, [])
         return empty, empty
-    stacked = [[0] * (2 * f) + row for row in _oracle_rel_matrix(P, d + 2 * e)]
-    roff = coff = 0
-    for fd, gd in zip(fdims, gdims):
-        for k in range(fd):
-            stacked[roff + k + e][coff + k] = 1  # x1^e u
-            stacked[roff + k][f + coff + k] = -1  # -x0^e v
-        roff += gd
-        coff += fd
     kernel = kernel_lattice(IntegerMatrix.from_rows(stacked, cols=len(stacked[0])))
     K = LatticeBasis.from_vectors(2 * f, [v[: 2 * f] for v in kernel.vectors()])
     phi1 = _oracle_rel_matrix(P, d + e)

@@ -7,9 +7,9 @@ import pytest
 from arithsurf import cohomology
 from arithsurf.bundles import bundle_handle
 from arithsurf.cohomology import (
+    FpSpan,
     PairSpace,
     SectionCount,
-    _fp_span,
     _pair_data,
     h0_dim,
     h1,
@@ -18,6 +18,7 @@ from arithsurf.cohomology import (
     stabilization_floor,
 )
 from arithsurf.errors import ProfileInconsistent
+from arithsurf.exactlat import rref_mod
 from arithsurf.graded import (
     GF,
     QQ,
@@ -31,7 +32,16 @@ from arithsurf.graded import (
 )
 from arithsurf.selftest import _oracle_pair_dim, oracle_h0
 from arithsurf.transforms import prescribed_types
-from oracles import pair_lattices, probe_rank_degree, rationalize, structure_sheaf
+from oracles import (
+    lattice_contains,
+    pair_kernel_rref_mod,
+    pair_lattices,
+    pair_times,
+    probe_rank_degree,
+    rationalize,
+    reference_rref_mod,
+    structure_sheaf,
+)
 
 
 def normal_form_presentation(n, f):
@@ -322,7 +332,8 @@ def _fp_relation_span_of_stacked_columns(P, d, e):
         col = phi1.column(j)
         if any(col):
             bvecs += [col + (0,) * f, (0,) * f + col]
-    return _fp_span(2 * f, P.base.char, bvecs)
+    rows, _ = rref_mod(bvecs, 2 * f, P.base.char)
+    return FpSpan(2 * f, P.base.char, tuple(rows))
 
 
 def test_fp_relation_span_is_two_copies_of_the_rref_of_phi1():
@@ -366,22 +377,71 @@ def _pair_space_cases():
         yield cokernel_presentation(gens, cols)
 
 
-def test_pair_spaces_match_the_stacked_oracle():
-    # K and B over Z against a stacked IntegerMatrix built apart, and the
-    # dimension over Z and mod 2 and 5 against Gaussian ranks, from the
-    # floor to three exponents past it
-    integral = 0
+def _pair_space_grid():
+    """(Q, d, e) over Z and mod 2 and 5, from the floor to three exponents
+    past it."""
     for P in _pair_space_cases():
         for Q in (P, reduce_mod(P, 2), reduce_mod(P, 5)):
             for d in range(-3, 3):
                 floor = stabilization_floor(Q, d)
                 for e in range(floor, floor + 4):
-                    space = _pair_data(Q, d, e)
-                    assert space.dim == _oracle_pair_dim(Q, d, e), (Q.map.to_json(), d, e)
-                    if Q.base.kind == "ZZ":
-                        assert (space.K, space.B) == pair_lattices(Q, d, e), (Q.map.to_json(), d, e)
-                        integral += space.K.rank > space.B.rank > 0
-    assert integral > 200
+                    yield Q, d, e
+
+
+def test_pair_spaces_match_the_stacked_oracle():
+    # K and B over Z against a stacked IntegerMatrix built apart; over F_p,
+    # K's rows independent and spanning the projected kernel of the same
+    # stacked matrix mod p; the dimension against Gaussian ranks
+    integral = modular = 0
+    for Q, d, e in _pair_space_grid():
+        space = _pair_data(Q, d, e)
+        where = (Q.map.to_json(), Q.base.char, d, e)
+        assert space.dim == _oracle_pair_dim(Q, d, e), where
+        if Q.base.kind == "ZZ":
+            assert (space.K, space.B) == pair_lattices(Q, d, e), where
+            integral += space.K.rank > space.B.rank > 0
+        else:
+            p, K = Q.base.char, space.K
+            canon, _ = reference_rref_mod(K.rows, 2 * space.f, p)
+            assert canon == pair_kernel_rref_mod(Q, d, e, p), where
+            assert len(K.rows) == K.rank == len(canon), where
+            modular += K.rank > space.B.rank > 0
+    assert integral > 200 and modular > 300
+
+
+def test_pushed_pairs_lie_in_the_next_pair_space():
+    # The rank test of _push_compatible rests on this: (x0 u, x1 v) is a
+    # pair at exponent e + 1 for every pair (u, v) at e, so the pushes of K
+    # and B span a subspace of the next K, equal to it exactly when the
+    # ranks agree over F_p
+    last = None
+    decisions = set()
+    for Q, d, e in _pair_space_grid():
+        cur = _pair_data(Q, d, e)
+        prev = last[1] if last is not None and last[0] is Q else None
+        last = Q, cur
+        if prev is None or (prev.d, prev.e + 1) != (d, e):
+            continue
+        where = (Q.map.to_json(), Q.base.char, d, e)
+        pushed = cohomology._push(Q, prev)
+        assert len(pushed) == prev.K.rank, where
+        f = cur.f
+        for v, w in zip(prev.K.vectors(), pushed):
+            spliced = pair_times(Q, d, e - 1, 0, v)[:f] + pair_times(Q, d, e - 1, 1, v)[f:]
+            assert w == spliced, where
+            if Q.base.kind == "ZZ":
+                assert lattice_contains(cur.K, w), where
+        if Q.base.kind == "GF":
+            p = Q.base.char
+            K_rref, _ = reference_rref_mod(cur.K.rows, 2 * f, p)
+            for w in pushed:
+                grown, _ = reference_rref_mod([*K_rref, w], 2 * f, p)
+                assert grown == K_rref, where
+            span, _ = reference_rref_mod(pushed + cur.B.vectors(), 2 * f, p)
+            decision = span == K_rref
+            assert cohomology._push_compatible(Q, prev, cur) == decision, where
+            decisions.add(decision)
+    assert decisions == {True, False}
 
 
 def test_h1_line_bundles():

@@ -24,6 +24,7 @@ from arithsurf.graded import (
     reduce_mod,
     twist,
 )
+from arithsurf.selftest import _oracle_rel_matrix
 
 from oracles import form_gcd_degree_mod
 
@@ -80,6 +81,41 @@ def test_degree_piece_cache_is_bounded_and_evictions_recompute():
     assert degree_piece.cache_info().currsize <= bound
     for d in twists[:8]:
         assert degree_piece(phi, d) == first[d] == degree_piece.__wrapped__(phi, d)
+
+
+def _random_entry(rng, degree):
+    if degree < 0 or rng.random() < 0.25:
+        return Form.zero(degree)
+    return Form.make(degree, [rng.choice((0, rng.randint(-9, 9))) for _ in range(degree + 1)])
+
+
+def _degree_piece_cases():
+    """Seeded maps with zero entries, zero columns, no columns at all and
+    negative twists, and normal forms of n <= 6 with zero or random f."""
+    rng = random.Random(4021)
+    for _ in range(40):
+        gens = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+        cols = []
+        for _ in range(rng.randint(0, 3)):
+            rt = rng.randint(min(gens) - 3, max(gens) + 1)
+            cols.append((rt, [_random_entry(rng, a - rt) for a in gens]))
+        yield cokernel_presentation(gens, cols)
+    for n in range(7):
+        yield normal_form_presentation(n, Form.zero(n))
+        yield normal_form_presentation(n, _random_entry(rng, n))
+
+
+def test_degree_piece_matches_the_entry_by_entry_oracle():
+    shapes = set()
+    for P in _degree_piece_cases():
+        for d in range(-8, 9):
+            piece = degree_piece.__wrapped__(P.map, d)
+            oracle = _oracle_rel_matrix(P, d)
+            assert piece.rows == len(oracle) and piece.cols == P.relations.piece_dim(d)
+            assert piece.rows_list() == oracle, (P.map.to_json(), d)
+            shapes.add((piece.rows > 0, piece.cols > 0, piece.is_zero()))
+    # empty pieces of either side, zero blocks and nonzero ones all occur
+    assert shapes == {(False, False, True), (False, True, True), (True, False, True), (True, True, True), (True, True, False)}
 
 
 def test_degree_piece_composition():
