@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ArithsurfError, InternalInconsistency, InvalidInput, schema_checked
+from .errors import ArithsurfError, DegreeMismatch, InternalInconsistency, InvalidInput, schema_checked
 
 
 # Largest accepted sizes.  The work of one command grows polynomially in
@@ -176,14 +176,14 @@ def _quotient_from_args(B, args):
     from .transforms import FiberQuotient
 
     p, m = args.prime, args.twist
-    if args.row:
-        twists = B.presentation.map.target.twists
-        texts = args.row.split(";")
-        forms = [parse_form(t, degree=m - a) for t, a in zip(texts, twists)]
-        return FiberQuotient.make(p, m, forms)
-    if args.g is None or args.h is None:
-        raise ValueError("give either --row or both --g and --h")
     twists = B.presentation.map.target.twists
+    if args.row and args.g is None and args.h is None:
+        texts = args.row.split(";")
+        if len(texts) != len(twists):
+            raise DegreeMismatch(f"quotient row has {len(texts)} entries for {len(twists)} generators")
+        return FiberQuotient.make(p, m, [parse_form(t, degree=m - a) for t, a in zip(texts, twists)])
+    if args.row or args.g is None or args.h is None:
+        raise ValueError("give either --row or both --g and --h")
     g = parse_form(args.g, degree=m - twists[0])
     h = parse_form(args.h, degree=m - twists[1])
     return FiberQuotient.from_pair(p, m, g, h)

@@ -8,7 +8,8 @@ class enumeration), a self-contained implementation lives here and shares no
 elimination code with the production path: Bareiss fraction-free
 elimination over Z and textbook mod-p row reduction.  The global-section
 solver reads the pair space at one exponent fixed by the twists of the free
-resolution.
+resolution; that exponent (``oracle_exponent``) and the pair matrix
+(``_oracle_pair_rows``) live only here, and ``tests/oracles.py`` reads both.
 """
 
 from __future__ import annotations
@@ -152,13 +153,6 @@ def _piece_dims(twists, d):
     return [max(0, a + d + 1) for a in twists]
 
 
-def _power_block(var, e, s):
-    rows = [[0] * (s + 1) for _ in range(s + e + 1)]
-    for k in range(s + 1):
-        rows[k + (e if var else 0)][k] = 1
-    return rows
-
-
 def _form_block(coeffs, deg, s):
     rows = [[0] * (s + 1) for _ in range(s + deg + 1)]
     for t in range(s + deg + 1):
@@ -194,29 +188,29 @@ def _oracle_rel_matrix(P: GradedPresentation, dd):
     return rows
 
 
-def _oracle_pair_dim(P: GradedPresentation, d, e):
-    """dim Hom((x0^e, x1^e), M)_d: pairs (u, v) in M_(d+e), x1^e u = x0^e v."""
+def _oracle_pair_rows(P: GradedPresentation, d, e):
+    """f = dim of the degree-(d+e) generator piece, and the rows of the
+    stacked matrix (x1^e | -x0^e | phi) on (u, v, w) into degree d+2e, with
+    one +-1 per monomial of u and of v."""
     gens = P.map.target.twists
-    fdims = _piece_dims(gens, d + e)
-    gdims = _piece_dims(gens, d + 2 * e)
-    f, g = sum(fdims), sum(gdims)
-    mu = [[0] * (2 * f) for _ in range(g)]
+    fdims, gdims = _piece_dims(gens, d + e), _piece_dims(gens, d + 2 * e)
+    f = sum(fdims)
+    stacked = [[0] * (2 * f) + row for row in _oracle_rel_matrix(P, d + 2 * e)]
     roff = coff = 0
-    for a, fd, gd in zip(gens, fdims, gdims):
-        s = a + d + e
-        if fd and gd:
-            b1 = _power_block(1, e, s)
-            b0 = _power_block(0, e, s)
-            for r in range(gd):
-                for c in range(fd):
-                    mu[roff + r][coff + c] = b1[r][c]
-                    mu[roff + r][f + coff + c] = -b0[r][c]
+    for fd, gd in zip(fdims, gdims):
+        for k in range(fd):
+            stacked[roff + k + e][coff + k] = 1  # x1^e u
+            stacked[roff + k][f + coff + k] = -1  # -x0^e v
         roff += gd
         coff += fd
-    phi2 = _oracle_rel_matrix(P, d + 2 * e)
-    phi1 = _oracle_rel_matrix(P, d + e)
-    stacked = [mu[i] + phi2[i] for i in range(g)]
-    r_stacked, r_phi2, r_phi1 = (_oracle_rank(P, m) for m in (stacked, phi2, phi1))
+    return f, stacked
+
+
+def _oracle_pair_dim(P: GradedPresentation, d, e):
+    """dim Hom((x0^e, x1^e), M)_d: pairs (u, v) in M_(d+e), x1^e u = x0^e v."""
+    f, stacked = _oracle_pair_rows(P, d, e)
+    phi2 = [row[2 * f :] for row in stacked]
+    r_stacked, r_phi2, r_phi1 = (_oracle_rank(P, m) for m in (stacked, phi2, _oracle_rel_matrix(P, d + e)))
     return 2 * f - r_stacked + r_phi2 - 2 * r_phi1
 
 
@@ -236,14 +230,20 @@ def _oracle_syzygy_twists(P: GradedPresentation) -> list[int]:
             for _ in range(k_0 - 2 * k_1 + k_2)]
 
 
-def oracle_h0(P: GradedPresentation, d: int) -> int:
-    """h^0(M~(d)) as dim Hom((x0^e, x1^e), M)_d at the one exponent
-    e* = max(0, -t-d-1 over the twists t of F1 and F2 = ker phi): for free F
-    the Koszul Ext^i((x0^e, x1^e), F) maps into H^i_m(F) injectively, onto in
-    degree d from e* on, and a chase through 0 -> F2 -> F1 -> F0 -> M -> 0
-    carries this to M (Eisenbud, GTM 229, Appendix 1)."""
+def oracle_exponent(P: GradedPresentation, d: int) -> int:
+    """The exponent e*(d) of ``oracle_h0``: max(0, -t-d-1) over the twists t
+    of F1 and of F2 = ker(phi).  It falls as d grows, so e*(d_min) serves
+    every twist of a window that starts at d_min."""
     twists = list(P.map.source.twists) + _oracle_syzygy_twists(P)
-    return _oracle_pair_dim(P, d, max([0] + [-t - d - 1 for t in twists]))
+    return max([0] + [-t - d - 1 for t in twists])
+
+
+def oracle_h0(P: GradedPresentation, d: int) -> int:
+    """h^0(M~(d)) as dim Hom((x0^e, x1^e), M)_d at e* = ``oracle_exponent``:
+    for free F the Koszul Ext^i((x0^e, x1^e), F) maps into H^i_m(F)
+    injectively, onto in degree d from e* on, and a chase through
+    0 -> F2 -> F1 -> F0 -> M -> 0 carries this to M (Eisenbud, GTM 229, App. 1)."""
+    return _oracle_pair_dim(P, d, oracle_exponent(P, d))
 
 
 def oracle_splitting(P: GradedPresentation, degree: int):

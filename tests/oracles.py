@@ -2,31 +2,32 @@
 
 Everything here deliberately avoids the production code paths: rational
 Gaussian elimination with Fraction arithmetic instead of integer echelon
-forms and cofactor determinants instead of Bareiss.  The global-section
-solver is ``arithsurf.selftest.oracle_h0``, the pair space at one exponent
-fixed by the twists of the free resolution, shared with the acceptance
-criteria.  The full-row eliminations ``reference_rref_mod``,
+forms and cofactor determinants instead of Bareiss.  There is one
+elimination per base: ``gauss_rref`` over Q and ``reference_rref_mod`` over
+F_p, and every rank and kernel here is read off one of them, the kernels
+through ``free_column_kernel``.  ``reference_rref_mod``,
 ``reference_echelon`` and ``reference_reduce_above`` are exactlat's kernels
 before they learned to rewrite only the live tail of each row; the kernels
-must give exactly their outputs.  ``pair_kernel_rref_mod`` reads the pairs
-of a pair space over F_p with ``reference_rref_mod`` alone.
+must give exactly their outputs.
 
-The exceptions, at the end, use exactlat's integer lattices, but no part of
-the runtime's pair engine: they read sections at the one exponent e* of
-``oracle_h0``, where the pair space is H^0 as a group (Eisenbud, GTM 229,
-App. 1).  ``section_lattices`` holds H^0(M~(d)) over a window of twists as
-lattices (K, B) at e* of the first twist, built with the pair matrices of
-``selftest._oracle_pair_dim``.  ``apply_full``/``restricted_quotient``
-compute an elementary transformation through them, the reference for the
-closed forms of the package: the kernel's sections at one twist fixed by
-the twists, with their linear syzygies, present it (Castelnuovo-Mumford),
-so no window is scanned or grown.  ``_kernel_quotient_degree`` fits the
-degree of the blow-up record from the fiber map on the same lattices.
-``splitting_scan`` reads a splitting type off one ``oracle_h0`` value and
-checks its Hilbert pattern, the reference for the types that ``bundles``
-reads off the dual, and ``probe_rank_degree`` reads rank and degree off
-``oracle_h0`` past the generator twists, the reference for
-``cohomology.sheaf_rank_degree``.
+The global-section solver is ``arithsurf.selftest.oracle_h0``, shared with
+the acceptance criteria, and so are its pair matrix ``_oracle_pair_rows``
+and its exponent ``oracle_exponent``: the pair space at one exponent e*
+fixed by the twists of the free resolution, where it is H^0 as a group
+(Eisenbud, GTM 229, App. 1).  The rest uses exactlat's integer lattices but
+no part of the runtime's pair engine.  ``section_lattices`` holds H^0(M~(d))
+over a window of twists as lattices (K, B) at e* of the first twist, and
+``pair_kernel_rref_mod`` reads K over F_p.  ``apply_full`` and
+``restricted_quotient`` compute an elementary transformation through them,
+the reference for the closed forms of the package: the kernel's sections at
+one twist fixed by the twists, with their linear syzygies, present it
+(Castelnuovo-Mumford), so no window is scanned or grown.
+``_kernel_quotient_degree`` fits the degree of the blow-up record from the
+fiber map on the same lattices.  ``splitting_scan`` reads a splitting type
+off one ``oracle_h0`` value and checks its Hilbert pattern, the reference
+for the types that ``bundles`` reads off the dual, and
+``probe_rank_degree`` reads rank and degree off ``oracle_h0`` past the
+generator twists, the reference for ``cohomology.sheaf_rank_degree``.
 """
 
 from dataclasses import dataclass
@@ -44,13 +45,13 @@ from arithsurf.exactlat import (
     kernel_mod,
     rank_mod,
     rank_of,
-    span_lattice,
 )
 from arithsurf.graded import QQ, ZZ, Form, GradedPresentation, cokernel_presentation, free_presentation
 from arithsurf.selftest import (
+    _oracle_pair_rows,
     _oracle_rel_matrix,
-    _oracle_syzygy_twists,
     _piece_dims,
+    oracle_exponent,
     oracle_h0,
     oracle_splitting,
 )
@@ -60,86 +61,89 @@ Vec = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# rational Gauss
+# one elimination per base: Fraction RREF over Q, full-row RREF over F_p
 
 
-def gauss_rank(rows):
-    """Rank over Q via Fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+def _inv_mod(a: int, p: int) -> int:
+    return pow(a % p, p - 2, p)
 
 
-def gauss_kernel(rows, ncols):
-    """Basis of the rational kernel (free-variable form), as Fraction rows."""
-    a = [[Fraction(x) for x in row] for row in rows]
+def reference_rref_mod(rows: list[list[int]], ncols: int, p: int):
+    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
+    a = [[x % p for x in row] for row in rows]
     m = len(a)
-    piv = []
+    piv_cols: list[int] = []
     r = 0
     for c in range(ncols):
         if r >= m:
             break
-        sel = next((i for i in range(r, m) if a[i][c] != 0), None)
+        sel = next((i for i in range(r, m) if a[i][c]), None)
+        if sel is None:
+            continue
+        a[r], a[sel] = a[sel], a[r]
+        inv = _inv_mod(a[r][c], p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+    return [tuple(row) for row in a[:r]], piv_cols
+
+
+def gauss_rref(rows, ncols):
+    """Reduced row echelon form over Q in Fraction arithmetic; returns
+    (rows, pivot columns) as ``reference_rref_mod`` does over F_p."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    piv_cols: list[int] = []
+    for c in range(ncols):
+        r = len(piv_cols)
+        sel = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if sel is None:
             continue
         a[r], a[sel] = a[sel], a[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
-        for i in range(m):
+        for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv]
+        piv_cols.append(c)
+    return a[: len(piv_cols)], piv_cols
+
+
+def free_column_kernel(rows, piv_cols, ncols, p=None):
+    """The kernel read off a reduced row echelon form: one vector per free
+    column, 1 there and minus that column's pivot-row entries (mod p when p
+    is given) at the pivot columns."""
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv):
-            v[pc] = -a[i][fc]
-        basis.append(v)
+    for fc in range(ncols):
+        if fc not in piv_cols:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(rows, piv_cols):
+                v[pc] = -row[fc] % p if p else -row[fc]
+            basis.append(v)
     return basis
 
 
+def gauss_rank(rows):
+    """Rank over Q via Fraction Gaussian elimination."""
+    return len(gauss_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def gauss_kernel(rows, ncols):
+    """Basis of the rational kernel (free-variable form)."""
+    return free_column_kernel(*gauss_rref(rows, ncols), ncols)
+
+
 def rank_mod_p(rows, p):
-    a = [[x % p for x in row] for row in rows]
-    if not a:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, m) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(reference_rref_mod(rows, len(rows[0]) if rows else 0, p)[1])
+
+
+# ---------------------------------------------------------------------------
+# determinants and minors
 
 
 def cofactor_det(rows):
@@ -262,69 +266,13 @@ def oracle_kernel_basis(rows, ncols):
 def _mod_p_left_kernel(vectors, p):
     """A nonzero row combination c with c . vectors == 0 mod p, or None."""
     k = len(vectors)
-    cols = [[vectors[i][t] % p for i in range(k)] for t in range(len(vectors[0]))]
-    a = [list(col) for col in cols]
-    # solve a . c == 0 (a has one row per coordinate)
-    m = len(a)
-    piv = []
-    r = 0
-    for c in range(k):
-        if r >= m:
-            break
-        sel = next((i for i in range(r, m) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [x * inv % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        piv.append(c)
-        r += 1
-    free = [c for c in range(k) if c not in piv]
-    if not free:
-        return None
-    fc = free[0]
-    combo = [0] * k
-    combo[fc] = 1
-    for i, pc in enumerate(piv):
-        combo[pc] = (-a[i][fc]) % p
-    return combo
+    kernel = free_column_kernel(*reference_rref_mod([list(t) for t in zip(*vectors)], k, p), k, p)
+    return kernel[0] if kernel else None
 
 
 # ---------------------------------------------------------------------------
-# full-row eliminations: exactlat's kernels as they were before they learned
-# to touch only the live tail of each row, kept verbatim as references
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a % p, p - 2, p)
-
-
-def reference_rref_mod(rows: list[list[int]], ncols: int, p: int):
-    """Reduced row echelon form over F_p; returns (rows, pivot columns)."""
-    a = [[x % p for x in row] for row in rows]
-    m = len(a)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= m:
-            break
-        sel = next((i for i in range(r, m) if a[i][c]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = _inv_mod(a[r][c], p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    return [tuple(row) for row in a[:r]], piv_cols
+# full-row integer eliminations: exactlat's kernels as they were before they
+# learned to touch only the live tail of each row, kept verbatim as references
 
 
 def reference_echelon(rows: list[list[int]], ncols: int, transform: bool = False):
@@ -443,47 +391,14 @@ def rank_over(M: IntegerMatrix, base) -> int:
 # section lattices at the one exact exponent
 
 
-def exact_exponent(P: GradedPresentation, d: int) -> int:
-    """The exponent e*(d) of ``selftest.oracle_h0``: max(0, -t-d-1) over the
-    twists t of F1 and of F2 = ker(phi).  It falls as d grows, so e*(d_min)
-    serves every twist of a window that starts at d_min."""
-    twists = list(P.map.source.twists) + _oracle_syzygy_twists(P)
-    return max([0] + [-t - d - 1 for t in twists])
-
-
-def pair_system_rows(P: GradedPresentation, d: int, e: int) -> tuple[int, list[list[int]]]:
-    """f = dim of the degree-(d+e) generator piece, and the rows of the
-    stacked matrix (x1^e | -x0^e | phi) on (u, v, w) into degree d+2e."""
-    gens = P.map.target.twists
-    fdims, gdims = _piece_dims(gens, d + e), _piece_dims(gens, d + 2 * e)
-    f = sum(fdims)
-    stacked = [[0] * (2 * f) + row for row in _oracle_rel_matrix(P, d + 2 * e)]
-    roff = coff = 0
-    for fd, gd in zip(fdims, gdims):
-        for k in range(fd):
-            stacked[roff + k + e][coff + k] = 1  # x1^e u
-            stacked[roff + k][f + coff + k] = -1  # -x0^e v
-        roff += gd
-        coff += fd
-    return f, stacked
-
-
 def pair_kernel_rref_mod(P: GradedPresentation, d: int, e: int, p: int) -> list[Vec]:
     """The pairs K of ``pair_lattices`` over F_p, in reduced row echelon form:
     the kernel of the stacked matrix mod p in free-variable form, cut to its
     (u, v) coordinates and reduced by ``reference_rref_mod``."""
-    f, stacked = pair_system_rows(P, d, e)
+    f, stacked = _oracle_pair_rows(P, d, e)
     ncols = 2 * f + sum(_piece_dims(P.map.source.twists, d + 2 * e))
-    rows, piv = reference_rref_mod(stacked, ncols, p)
-    projected = []
-    for fc in range(ncols):
-        if fc not in piv:
-            v = [0] * ncols
-            v[fc] = 1
-            for i, pc in enumerate(piv):
-                v[pc] = -rows[i][fc] % p
-            projected.append(v[: 2 * f])
-    return reference_rref_mod(projected, 2 * f, p)[0]
+    kernel = free_column_kernel(*reference_rref_mod(stacked, ncols, p), ncols, p)
+    return reference_rref_mod([v[: 2 * f] for v in kernel], 2 * f, p)[0]
 
 
 def pair_lattices(P: GradedPresentation, d: int, e: int) -> tuple[LatticeBasis, LatticeBasis]:
@@ -496,7 +411,7 @@ def pair_lattices(P: GradedPresentation, d: int, e: int) -> tuple[LatticeBasis, 
     monomial bases, so it holds over Z.  Each generator's segment of u and v
     lists its monomials x0^(s-k) x1^k by k.
     """
-    f, stacked = pair_system_rows(P, d, e)
+    f, stacked = _oracle_pair_rows(P, d, e)
     if not f:
         empty = LatticeBasis.from_vectors(0, [])
         return empty, empty
@@ -546,7 +461,7 @@ class SectionLattices:
 
 def section_lattices(P: GradedPresentation, d_min: int, d_max: int) -> SectionLattices:
     """Section lattices at twists d_min..d_max, all at the exponent e*(d_min)."""
-    e = exact_exponent(P, d_min)
+    e = oracle_exponent(P, d_min)
     return SectionLattices(P, d_min, e, tuple(pair_lattices(P, d, e) for d in range(d_min, d_max + 1)))
 
 
@@ -559,81 +474,51 @@ def _smith_left_inverse(X: list[list[int]], k: int, l: int):
 
     Returns ``(diag, uinv)`` with ``U X V = D`` diagonal; ``diag`` lists the
     k diagonal entries of D (zeros included) and ``uinv`` holds the columns
-    of U^{-1}: the row ops applied to X are mirrored as inverse column ops.
+    of U^{-1}.  Each pivot takes the least nonzero entry of the remaining
+    block until it divides its row, its column and the block.  U is a product
+    of one kind of row operation, mirrored into U^{-1} by its inverse column
+    operation; column operations (V) are not tracked.
     """
     a = [list(row) for row in X]
-    uinv = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    uinv = [[int(i == j) for j in range(k)] for i in range(k)]
 
-    def col_add(dst: int, src: int, q: int):
-        # right-multiply uinv by the inverse of the row operation just applied
-        for i in range(k):
-            uinv[i][dst] += q * uinv[i][src]
+    def add(dst: int, src: int, q: int):
+        # a[dst] += q a[src]; its inverse right-multiplies U^{-1} as
+        # column src -= q column dst
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        for row in uinv:
+            row[src] -= q * row[dst]
 
     top = 0
     while top < min(k, l):
-        bi = bj = -1
-        for i in range(top, k):
-            for j in range(top, l):
-                if a[i][j] != 0 and (bi < 0 or abs(a[i][j]) < abs(a[bi][bj])):
-                    bi, bj = i, j
-        if bi < 0:
+        block = [(abs(a[i][j]), i, j) for i in range(top, k) for j in range(top, l) if a[i][j]]
+        if not block:
             break
-        if bi != top:
-            a[top], a[bi] = a[bi], a[top]
-            for row in uinv:
-                row[top], row[bi] = row[bi], row[top]
-        if bj != top:
-            for row in a:
-                row[top], row[bj] = row[bj], row[top]
-        while True:
-            again = False
-            for i in range(top + 1, k):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    if q:
-                        # a[i] -= q a[top]  has inverse  uinv[:,top] += q uinv[:,i]
-                        a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                        col_add(top, i, q)
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                        for row in uinv:
-                            row[top], row[i] = row[i], row[top]
-                        again = True
-            if again:
-                continue
-            for j in range(top + 1, l):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[top]
-                    if a[top][j] != 0:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        again = True
-            if not again:
-                break
+        _, i, j = min(block)
+        if i != top:  # rows (top, i) become (a_i, -a_top)
+            add(top, i, 1)
+            add(i, top, -1)
+            add(top, i, 1)
+        for row in a:
+            row[top], row[j] = row[j], row[top]
         piv = a[top][top]
-        offender = None
         for i in range(top + 1, k):
-            for j in range(top + 1, l):
-                if a[i][j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            # a[top] += a[offender]  has inverse  uinv[:,offender] -= uinv[:,top]
-            a[top] = [x + y for x, y in zip(a[top], a[offender])]
-            col_add(offender, top, -1)
+            add(i, top, -(a[i][top] // piv))
+        for j in range(top + 1, l):
+            q = a[top][j] // piv
+            for row in a:
+                row[j] -= q * row[top]
+        if any(a[i][top] for i in range(top + 1, k)) or any(a[top][top + 1 :]):
+            continue  # a remainder below |piv| is the next pivot
+        bad = next((i for i in range(top + 1, k) if any(x % piv for x in a[i][top + 1 :])), None)
+        if bad is not None:
+            add(top, bad, 1)
             continue
         if piv < 0:
-            a[top] = [-x for x in a[top]]
-            for row in uinv:
+            for row in a:
                 row[top] = -row[top]
         top += 1
-    diag = [a[i][i] if i < l else 0 for i in range(k)]
-    return diag, uinv
+    return [a[i][i] if i < l else 0 for i in range(k)], uinv
 
 
 def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int]]:
@@ -664,19 +549,10 @@ def quotient_group_data(S: LatticeBasis, T_vectors) -> tuple[list[Vec], list[int
 
 def _kernel_mod_span(columns: list[Vec], B: LatticeBasis, ambient: int) -> LatticeBasis:
     """Lattice { c : sum c_i columns_i lies in span(B) }."""
-    n = len(columns)
-    if n == 0:
-        return LatticeBasis.from_vectors(0, [])
-    bvecs = B.vectors()
-    rows = [
-        [columns[j][t] for j in range(n)] + [bv[t] for bv in bvecs]
-        for t in range(ambient)
-    ]
-    mat = IntegerMatrix.from_rows(rows, cols=n + len(bvecs))
-    kern = kernel_lattice(mat)
-    proj = [v[:n] for v in kern.vectors()]
-    lat = span_lattice(n, proj)
-    return lat
+    n, bvecs = len(columns), B.vectors()
+    rows = [[col[t] for col in columns] + [bv[t] for bv in bvecs] for t in range(ambient)]
+    kernel = kernel_lattice(IntegerMatrix.from_rows(rows, cols=n + len(bvecs)))
+    return LatticeBasis.from_vectors(n, [v[:n] for v in kernel.vectors()])
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,28 @@ def test_transform_apply_on_a_normal_form(capsys):
     assert doc["profile"] == {"generic": [0, 1], "jumps": {}}
 
 
+@pytest.mark.parametrize("command", ["apply", "factorize"])
+@pytest.mark.parametrize("row", ["x0;x1^2;1", "x0;x1^2;", "x0"])
+def test_a_row_with_one_form_too_many_or_too_few_is_a_degree_mismatch(capsys, command, row):
+    code, doc = run_cli(
+        capsys, "transform", command, "--generic-type", "1",
+        "--prime", "3", "--twist", "0", "--row", row,
+    )
+    assert code == 2
+    count = len(row.split(";"))
+    assert (doc["error"], doc["message"]) == ("DegreeMismatch", f"quotient row has {count} entries for 2 generators")
+
+
+@pytest.mark.parametrize("flags", [["--g", "x0"], ["--h", "x1^2"], ["--g", "x0", "--h", "x1^2"]])
+def test_row_together_with_g_or_h_is_a_usage_error(capsys, flags):
+    code = main(
+        ["transform", "apply", "--generic-type", "1", "--prime", "3", "--twist", "0", "--row", "x0;x1^2", *flags]
+    )
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "give either --row or both --g and --h" in captured.err
+
+
 def test_transform_factorize(capsys):
     args = ["--generic-type", "1", "--prime", "3", "--twist", "0", "--g", "x0", "--h", "x1^2"]
     code, doc = run_cli(capsys, "transform", "factorize", *args)

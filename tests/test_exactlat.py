@@ -19,10 +19,10 @@ from arithsurf.exactlat import (
     rank_of,
     rref_mod,
     smith_invariants,
-    span_lattice,
 )
 
 from oracles import (
+    _smith_left_inverse,
     cofactor_det,
     determinantal_invariants,
     gauss_rank,
@@ -198,7 +198,7 @@ def test_determinant_matches_cofactor_oracle():
 
 
 def test_quotient_group_data():
-    S = span_lattice(2, [(1, 0), (0, 1)])
+    S = LatticeBasis.from_vectors(2, [(1, 0), (0, 1)])
     # Z/2 + Z/3 is cyclic of order 6 in invariant-factor form
     gens, orders = quotient_group_data(S, [(2, 0), (0, 3)])
     assert orders == [6]
@@ -216,7 +216,7 @@ def test_quotient_group_data_randomized(seed):
     rng = random.Random(500 + seed)
     n = rng.randint(2, 5)
     S_vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(2, n))]
-    S = span_lattice(n, S_vecs)
+    S = LatticeBasis.from_vectors(n, S_vecs)
     if S.rank == 0:
         return
     # T: random combinations of S with random integer scalings
@@ -230,18 +230,44 @@ def test_quotient_group_data_randomized(seed):
         T.append(tuple(vec))
     gens, orders = quotient_group_data(S, T)
     # generators together with T regenerate S
-    regen = span_lattice(n, list(gens) + list(T))
+    regen = LatticeBasis.from_vectors(n, list(gens) + list(T))
     assert regen == S
     # orders are honest: o*g lies in span(T) iff o is the stated order
-    Tspan = span_lattice(n, T)
+    Tspan = LatticeBasis.from_vectors(n, T)
     for g, o in zip(gens, orders):
         assert not lattice_contains(Tspan, g)
         if o:
             assert lattice_contains(Tspan, tuple(o * c for c in g))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_smith_left_inverse_diagonalizes_with_a_unimodular_inverse(seed):
+    # k != l, zero rows and columns, and rank below min(k, l)
+    rng = random.Random(900 + seed)
+    k, l = rng.choice([(k, l) for k in range(1, 6) for l in range(1, 6) if k != l])
+    X = [[rng.randint(-6, 6) for _ in range(l)] for _ in range(k)]
+    if seed % 3 == 0:
+        X[rng.randrange(k)] = [0] * l
+    if seed % 3 == 1:
+        zero = rng.randrange(l)
+        for row in X:
+            row[zero] = 0
+    if seed % 2 and k > 1:
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        X[-1] = [a * x + b * y for x, y in zip(X[0], X[k // 2])]
+    diag, uinv = _smith_left_inverse(X, k, l)
+    nonzero = [d for d in diag if d]
+    assert len(diag) == k and len(nonzero) == gauss_rank(X)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert abs(cofactor_det(uinv)) == 1
+    # X = U^{-1} D V^{-1} with V unimodular: the columns of U^{-1} D span
+    # the column lattice of X
+    columns = [tuple(d * row[i] for row in uinv) for i, d in enumerate(diag)]
+    assert LatticeBasis.from_vectors(k, columns) == LatticeBasis.from_vectors(k, list(zip(*X)))
+
+
 def test_express_and_contains():
-    L = span_lattice(3, [(1, 2, 0), (0, 0, 5)])
+    L = LatticeBasis.from_vectors(3, [(1, 2, 0), (0, 0, 5)])
     assert lattice_contains(L, (2, 4, 5))
     assert not lattice_contains(L, (0, 0, 1))
     assert not lattice_contains(L, (1, 0, 0))
